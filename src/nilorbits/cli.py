@@ -188,17 +188,16 @@ def cmd_oracle(args) -> int:
 
 def cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    failed = 0
     reports = []
     for name in names:
         rep = run_suite(name, max_rank=args.max_rank)
         reports.append(rep)
-        failed += rep.num_failed
         if not args.json:
             print(rep.render(verbose=args.verbose))
     if args.json:
         print(json.dumps([r.to_json() for r in reports], indent=2))
-    return 0 if failed == 0 else 1
+    # a suite with no cases is not ok: it verified nothing
+    return 0 if all(r.ok for r in reports) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -42,7 +42,11 @@ class ExceptionalOrbit:
     divisible: bool | None = None  # None: not recorded
 
     def __post_init__(self):
-        assert self.dim_centralizer == self.dim_red + self.dim_nil
+        if self.dim_centralizer != self.dim_red + self.dim_nil:
+            raise ValueError(
+                f"{self.type} {self.bala_carter_label}: dim g^e = "
+                f"{self.dim_centralizer} != dim red {self.dim_red} + "
+                f"dim nil {self.dim_nil}")
 
 
 def _orbit(type_str, label, labels, dim, red, dim_red, divisible=None):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import comb
 
 from . import exceptional as exc
-from .involutions import (Factor, SymmetricPair, catalog,
+from .involutions import (Factor, SymmetricPair, catalog, factor_str,
                           ibn_signature, orbit_meets_g1, pi_involution)
 from .orbits import (ClassicalOrbit, Partition, WeightedDynkinDiagram,
                      is_divisible, half_orbit, is_almost_distinguished,
@@ -129,7 +129,7 @@ def decompose_classical(pair: SymmetricPair,
             fkind, fn = f
             if lam.n != fn:
                 raise ValueError(f"partition {lam} does not fit factor "
-                                 f"{factor_str_size(f)}")
+                                 f"{factor_str(f)}")
             if fkind in ("so", "sp"):
                 ClassicalOrbit(fkind, fn, lam)  # factor validity
     v = [module_of_parts(lam.parts) for lam in fparts]
@@ -162,10 +162,6 @@ def decompose_classical(pair: SymmetricPair,
     lam = Partition(ambient_parts)
     ClassicalOrbit(kind, n, lam)  # validity check of the ambient type
     return PairDecomposition(pair, m0, m1, ambient_partition=lam)
-
-
-def factor_str_size(f: Factor) -> str:
-    return f"{f[0]}{f[1]}"
 
 
 def decompose_exceptional(pair: SymmetricPair,
@@ -338,8 +334,11 @@ def upsilon(pd: PairDecomposition) -> UpsilonResult:
     sigma_sigma_check = _identify(pd.pair.g, -diff_cross, pd.pair.inner, wdd)
     # the identified dimensions must reproduce the grid differences
     g = pd.pair.g.dimension
-    assert 2 * sigma_check.dim_g0 == g + diff_check
-    assert 2 * sigma_sigma_check.dim_g0 == g + diff_cross
+    for q, diff in ((sigma_check, diff_check),
+                    (sigma_sigma_check, diff_cross)):
+        if 2 * q.dim_g0 != g + diff:
+            raise RuntimeError(f"{q} has dim g0 = {q.dim_g0}, but the grid "
+                               f"difference {diff} needs {(g + diff) / 2}")
     return UpsilonResult(pd.pair, sigma_check, sigma_sigma_check,
                          diff_check, diff_cross)
 

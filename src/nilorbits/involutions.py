@@ -320,7 +320,8 @@ def normalize_descriptor(t: SimpleType, descriptor: str) -> str:
 
 def maximal_rank(t: SimpleType) -> SymmetricPair:
     hits = [p for p in catalog(t) if p.is_maximal_rank]
-    assert len(hits) == 1, f"maximal-rank class of {t} not unique: {hits}"
+    if len(hits) != 1:
+        raise RuntimeError(f"maximal-rank class of {t} not unique: {hits}")
     return hits[0]
 
 

@@ -96,12 +96,6 @@ def rank(matrix: list[list[int]]) -> int:
     return r
 
 
-def nullity(matrix: list[list[int]], cols: int | None = None) -> int:
-    if not matrix:
-        return cols or 0
-    return len(matrix[0]) - rank(matrix)
-
-
 def eigenspace_dim(matrix: list[list[int]], eigenvalue: int) -> int:
     """dim ker(matrix - eigenvalue) for a square integer matrix."""
     n = len(matrix)

@@ -152,22 +152,24 @@ class WeightedDynkinDiagram:
             return None
         return tuple(v // 2 for v in self.labels)
 
+    @cached_property
+    def height_counts(self) -> dict[int, int]:
+        """Number of positive roots at each weighted height <alpha, labels>."""
+        out: dict[int, int] = {}
+        for r in build_root_system(self.type).positive_roots:
+            h = sum(c * v for c, v in zip(r.coeffs, self.labels))
+            out[h] = out.get(h, 0) + 1
+        return out
+
     def dim_centralizer_of_h(self) -> int:
         """dim of the zero layer of the grading cut out by the labels."""
-        rs = build_root_system(self.type)
-        zero_roots = sum(1 for r in rs.positive_roots
-                         if sum(c * v for c, v in zip(r.coeffs, self.labels))
-                         == 0)
-        return self.type.rank + 2 * zero_roots
+        return self.type.rank + 2 * self.height_counts.get(0, 0)
 
     def layer_dim(self, i: int) -> int:
-        """dim of the i-layer of the grading (i != 0)."""
+        """dim of the i-layer of the grading cut out by the labels."""
         if i == 0:
             return self.dim_centralizer_of_h()
-        rs = build_root_system(self.type)
-        return sum(1 for r in rs.positive_roots
-                   if sum(c * v for c, v in zip(r.coeffs, self.labels))
-                   == abs(i))
+        return self.height_counts.get(abs(i), 0)
 
     def render(self) -> str:
         return render_labelled_diagram(self.type, self.labels)

@@ -18,7 +18,7 @@ Coxeter number) is exact.  Node numbering conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Iterable
 
 EXCEPTIONAL_DIMENSION = {("E", 6): 78, ("E", 7): 133, ("E", 8): 248,
@@ -86,6 +86,7 @@ class SimpleType:
                 "D": n * (n - 1), "E": {6: 36, 7: 63, 8: 120}.get(n, 0),
                 "F": 24, "G": 6}[self.family]
 
+    @cache
     def cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Rows indexed by i: entry [i][j] = <alpha_j, alpha_i^vee>."""
         n = self.rank
@@ -138,6 +139,7 @@ class SimpleType:
         top = max(lengths)
         return frozenset(i for i, d in enumerate(lengths) if d < top)
 
+    @cache
     def adjacency(self) -> tuple[frozenset[int], ...]:
         a = self.cartan_matrix()
         n = self.rank
@@ -240,32 +242,33 @@ def build_root_system(t: SimpleType) -> RootSystem:
     p is the largest k with gamma - k*alpha_i still a root.
     """
     n = t.rank
-    a = t.cartan_matrix()
+    # nonzero Cartan entries of row i: <gamma, alpha_i^vee> is sparse
+    rows = [[(j, x) for j, x in enumerate(row) if x]
+            for row in t.cartan_matrix()]
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     known: set[tuple[int, ...]] = set(simple)
     layer = list(simple)
-    ordered = list(simple)
     while layer:
         new_layer = []
         for g in layer:
-            for i in range(n):
-                if g == simple[i]:
-                    continue
+            for i, row in enumerate(rows):
+                pairing = 0
+                for j, x in row:
+                    pairing += g[j] * x
+                # walk down the string only until p > pairing is decided;
+                # roots below g stay positive, so coordinate i stays >= 0
+                gi = g[i]
                 p = 0
-                lower = tuple(c - (j == i) for j, c in enumerate(g))
-                while lower in known:
+                while p <= pairing and p < gi \
+                        and g[:i] + (gi - p - 1,) + g[i + 1:] in known:
                     p += 1
-                    lower = tuple(c - (j == i) for j, c in enumerate(lower))
-                pairing = sum(c * a[i][j] for j, c in enumerate(g))
-                if p - pairing > 0:
-                    up = tuple(c + (j == i) for j, c in enumerate(g))
+                if p > pairing:
+                    up = g[:i] + (gi + 1,) + g[i + 1:]
                     if up not in known:
                         known.add(up)
                         new_layer.append(up)
-        new_layer.sort()
-        ordered.extend(new_layer)
         layer = new_layer
-    roots = tuple(Root(c) for c in sorted(ordered, key=lambda c: (sum(c), c)))
+    roots = tuple(Root(c) for c in sorted(known, key=lambda c: (sum(c), c)))
     if len(roots) != t.num_positive_roots:
         raise RuntimeError(
             f"closure for {t} produced {len(roots)} positive roots, "
@@ -325,7 +328,8 @@ def beta_root(rs: RootSystem) -> Root:
         for j in t.adjacency()[delta]:
             coeffs[j] = 1
     beta = Root(tuple(coeffs))
-    assert beta in rs and beta.height == 4 and rs.is_long(beta)
+    if not (beta in rs and beta.height == 4 and rs.is_long(beta)):
+        raise RuntimeError(f"beta {beta} is not a long height-4 root of {t}")
     layer2 = rs.roots_of_height(2)
     for x in layer2:
         rest = tuple(b - a for a, b in zip(x.coeffs, beta.coeffs))

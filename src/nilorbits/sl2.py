@@ -85,10 +85,6 @@ class SL2Module:
         return sum(m * (w + 1) for w, m in self.mult.items())
 
     @property
-    def num_summands(self) -> int:
-        return sum(self.mult.values())
-
-    @property
     def max_weight(self) -> int:
         return max(self.mult, default=0)
 

@@ -127,7 +127,7 @@ def _classical_pi_row(t: SimpleType):
             k = n // 2
             lam = (k + 1, k)
             labels = (1,) * r
-            dim, red, nil, red_dim = 2 * n - 2, "t1", 2 * n - 3, 1
+            dim, red, nil = 2 * n - 2, "t1", 2 * n - 3
         return lam, labels, dim, red, nil
     if fam == "B":
         n = 2 * r + 1

@@ -122,6 +122,18 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_verify_empty_suite_fails(capsys):
+    # no pair of rank <= 1 is swept: regular has no cases at this bound
+    code, out, _ = run(capsys, "verify", "--suite", "regular",
+                       "--max-rank", "1")
+    assert code == 1
+    assert "0/0 passed" in out
+    code, out, _ = run(capsys, "--json", "verify", "--suite", "regular",
+                       "--max-rank", "1")
+    assert code == 1
+    assert json.loads(out)[0]["total"] == 0
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "wdd", "B2", "(2,2)")[0] == 2      # not a partition of 5
     assert run(capsys, "wdd", "so5", "(4,1)")[0] == 2     # invalid orbit

@@ -8,23 +8,12 @@ from itertools import product
 import pytest
 
 from nilorbits.exceptional import (ORBITS, PAIR_DECOMPOSITIONS,
-                                   exceptional_lookup,
+                                   ExceptionalOrbit, exceptional_lookup,
                                    pair_decomposition_data)
 from nilorbits.involutions import catalog, pair_by_descriptor
 from nilorbits.roots import SimpleType, build_root_system
 from nilorbits.sl2 import SL2Module
-
-_EXPONENTS = {
-    "A": lambda n: range(1, n + 1),
-    "B": lambda n: range(1, 2 * n, 2),
-    "C": lambda n: range(1, 2 * n, 2),
-    "D": lambda n: list(range(1, 2 * n - 2, 2)) + [n - 1],
-    "E": lambda n: {6: [1, 4, 5, 7, 8, 11],
-                    7: [1, 5, 7, 9, 11, 13, 17],
-                    8: [1, 7, 11, 13, 17, 19, 23, 29]}[n],
-    "F": lambda n: [1, 5, 7, 11],
-    "G": lambda n: [1, 5],
-}
+from rootdata import EXPONENTS
 
 
 def principal_module(factors) -> SL2Module:
@@ -34,7 +23,7 @@ def principal_module(factors) -> SL2Module:
             m = m + SL2Module({0: n})
         else:
             fam = "A" if kind == "A~" else kind
-            for e in _EXPONENTS[fam](n):
+            for e in EXPONENTS[fam](n):
                 m = m + SL2Module({2 * e: 1})
     return m
 
@@ -81,6 +70,14 @@ def test_orbit_records_consistent(key):
     assert rec.dim_red == prof[0] - prof.get(2, 0)
     assert rec.dim_nil == rec.dim_centralizer - rec.dim_red
     assert wdd.has_only_isolated_zeros()
+
+
+def test_inconsistent_record_raises():
+    rec = ORBITS[("E6", "D5")]
+    with pytest.raises(ValueError, match=r"dim g\^e = 10"):
+        ExceptionalOrbit(rec.type, rec.bala_carter_label, rec.wdd,
+                         dim_centralizer=10, red_type="t1", dim_red=1,
+                         dim_nil=8)
 
 
 def test_lookup_errors_list_known_labels():

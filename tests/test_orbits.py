@@ -1,11 +1,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from nilorbits.exceptional import ORBITS
 from nilorbits.orbits import (ClassicalOrbit, Partition, all_partitions,
                               centralizer_dims, half_orbit, is_divisible,
                               is_almost_distinguished, is_distinguished,
                               is_even, reductive_type, valid_partitions,
                               wdd_from_partition)
+from nilorbits.roots import build_root_system
 
 partitions = st.lists(st.integers(1, 9), min_size=1, max_size=6).map(
     lambda parts: Partition(tuple(sorted(parts, reverse=True))))
@@ -68,6 +70,37 @@ def test_wdd_labels_in_range_and_even_iff():
                 assert all(v in (0, 1, 2) for v in wdd.labels), o
                 all_even = all(v in (0, 2) for v in wdd.labels)
                 assert all_even == is_even(o), o
+
+
+def check_layer_dims(wdd, dim_centralizer):
+    """layer_dim against a direct root count per layer, dim g, and Kostant's
+    dim g(0) + dim g(1) = dim g^e."""
+    t = wdd.type
+    heights = [sum(c * v for c, v in zip(r.coeffs, wdd.labels))
+               for r in build_root_system(t).positive_roots]
+    top = max(heights)
+    assert wdd.layer_dim(0) == wdd.dim_centralizer_of_h() \
+        == t.rank + 2 * heights.count(0)
+    for i in range(1, top + 2):
+        assert wdd.layer_dim(i) == wdd.layer_dim(-i) == heights.count(i)
+    assert wdd.dim_centralizer_of_h() + 2 * sum(
+        wdd.layer_dim(i) for i in range(1, top + 1)) == t.dimension
+    assert wdd.layer_dim(0) + wdd.layer_dim(1) == dim_centralizer
+
+
+def test_layer_dims_classical():
+    for kind, sizes in [("sl", range(2, 13)), ("sp", range(4, 13, 2)),
+                        ("so", [5, 7, 8, 9, 10, 11, 12])]:
+        for n in sizes:
+            for o in valid_partitions(kind, n):
+                check_layer_dims(wdd_from_partition(o),
+                                 centralizer_dims(o)[0])
+
+
+@pytest.mark.parametrize("key", sorted(ORBITS))
+def test_layer_dims_exceptional(key):
+    rec = ORBITS[key]
+    check_layer_dims(rec.wdd, rec.dim_centralizer)
 
 
 @pytest.mark.parametrize("kind,n,lam,expect", [

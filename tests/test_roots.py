@@ -1,8 +1,11 @@
+from collections import Counter
+
 import pytest
 
 from nilorbits.roots import (Root, SimpleType, all_simple_types,
                              beta_root, build_root_system, coxeter_number,
                              kappa_direct, kappa_root_count, principal_layer)
+from rootdata import EXPONENTS
 
 
 def test_invalid_types_rejected():
@@ -26,6 +29,26 @@ def test_a2_smallest_case():
     assert {r.coeffs for r in rs.positive_roots} == \
         {(1, 0), (0, 1), (1, 1)}
     assert rs.highest_root.coeffs == (1, 1)
+
+
+def test_closure_matches_closed_forms_to_rank_24():
+    """Kostant: #roots of height k = #{exponents >= k}; classical highest
+    roots and Coxeter numbers in closed form."""
+    for t in all_simple_types(24):
+        rs = build_root_system(t)
+        exps = list(EXPONENTS[t.family](t.rank))
+        heights = Counter(r.height for r in rs.positive_roots)
+        assert heights == {k: sum(1 for e in exps if e >= k)
+                           for k in range(1, max(exps) + 1)}, str(t)
+        n = t.rank
+        top, c = {"A": ((1,) * n, n + 1),
+                  "B": ((1,) + (2,) * (n - 1), 2 * n),
+                  "C": ((2,) * (n - 1) + (1,), 2 * n),
+                  "D": ((1,) + (2,) * (n - 3) + (1, 1), 2 * n - 2),
+                  }.get(t.family, (None, None))
+        if top is not None:
+            assert rs.highest_root.coeffs == top, str(t)
+            assert coxeter_number(rs) == c, str(t)
 
 
 def test_g2_closure():
