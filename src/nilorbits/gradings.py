@@ -257,10 +257,14 @@ class MixedGrading:
 
 
 def grading_grid(pd: PairDecomposition) -> MixedGrading:
-    hi = max(pd.m0.max_weight, pd.m1.max_weight)
-    row0 = tuple(pd.m0.eigen_dim(i) for i in range(hi + 1))
-    row1 = tuple(pd.m1.eigen_dim(i) for i in range(hi + 1))
-    return MixedGrading(row0, row1)
+    size = max(pd.m0.max_weight, pd.m1.max_weight) + 1
+    rows = ([0] * size, [0] * size)
+    # R(w) has the eigenvalues w, w-2, ..., -w: one pass over the summands
+    for row, module in zip(rows, (pd.m0, pd.m1)):
+        for w, m in module.mult.items():
+            for i in range(w % 2, w + 1, 2):
+                row[i] += m
+    return MixedGrading(tuple(rows[0]), tuple(rows[1]))
 
 
 def check_02(mg: MixedGrading) -> bool:

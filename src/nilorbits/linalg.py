@@ -1,8 +1,8 @@
 """Exact linear algebra over the integers and rationals.
 
-Everything operates on dense lists of lists.  Rank and nullspace use
-fraction-free (Bareiss) elimination for integer input, so no floating
-point is involved anywhere.
+Everything operates on dense lists of lists.  Rank uses fraction-free
+(Bareiss) elimination for integer input, so no floating point is involved
+anywhere.
 """
 
 from __future__ import annotations
@@ -14,10 +14,6 @@ Matrix = list[list[int]]
 
 def zeros(r: int, c: int) -> Matrix:
     return [[0] * c for _ in range(r)]
-
-
-def identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -37,10 +33,6 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(a: Matrix, c) -> Matrix:
     return [[c * x for x in row] for row in a]
 
@@ -58,7 +50,12 @@ def is_zero(a: Matrix) -> bool:
 
 
 def rank(matrix: list[list[int]]) -> int:
-    """Rank by fraction-free Gaussian elimination (exact)."""
+    """Rank by fraction-free (Bareiss) elimination (exact).
+
+    Every row below the pivot is updated at every step, so each entry stays
+    a minor of the input and the division by the previous pivot is exact
+    (Sylvester's identity); a remainder raises instead of being floored.
+    """
     m = [row[:] for row in matrix if any(row)]
     if not m:
         return 0
@@ -79,13 +76,18 @@ def rank(matrix: list[list[int]]) -> int:
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        pivot = m[r][c]
+        row_r = m[r]
+        pivot = row_r[c]
         for i in range(r + 1, len(m)):
-            if not m[i][c]:
-                continue
-            row_i, row_r, vic = m[i], m[r], m[i][c]
+            row_i = m[i]
+            vic = row_i[c]
+            if not vic and pivot == prev:
+                continue  # the step leaves this row as it is
             for j in range(c, cols):
-                row_i[j] = (row_i[j] * pivot - vic * row_r[j]) // prev
+                q, rem = divmod(row_i[j] * pivot - vic * row_r[j], prev)
+                if rem:
+                    raise ArithmeticError("inexact Bareiss step")
+                row_i[j] = q
         prev = pivot
         r += 1
         if r == len(m):

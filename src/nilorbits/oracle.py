@@ -5,7 +5,7 @@ This is the independent verification path: sl_n is realised as traceless
 matrices, so_n/sp_n as {X : X^T B + B X = 0} for an explicit integer form
 B, nilpotent triples are built block-by-block from Jordan strings, and
 every dimension (centralisers, kernels, grading layers) is recomputed by
-exact rank arithmetic.  Nothing here consults the partition formulas or
+exact rank arithmetic, one h-weight block at a time.  Nothing here consults the partition formulas or
 the sl2-module calculus, so agreement between the two paths is a real
 check.
 
@@ -21,11 +21,12 @@ act as M on W and -M^T on W*.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .gradings import MixedGrading
 from .involutions import SymmetricPair
-from .linalg import (Matrix, commutator, is_zero, mat_mul,
-                     mat_scale, mat_sub, rank, transpose, zeros)
+from .linalg import (Matrix, commutator, eigenspace_dim, is_zero, mat_mul,
+                     mat_scale, mat_sub, rank, solve_in_span, transpose, zeros)
 from .orbits import ClassicalOrbit, Partition, is_divisible, valid_partitions
 
 
@@ -58,6 +59,16 @@ class SL2Triple:
     @property
     def h_diagonal(self) -> list[int]:
         return [self.h[i][i] for i in range(self.n)]
+
+    @cached_property
+    def form_perm(self) -> list[tuple[int, int]]:
+        """The form B as a signed permutation: entry i is (p(i), b_i) for
+        the only nonzero entry b_i = +-1 of row i, in column p(i)."""
+        rows = [[(j, v) for j, v in enumerate(row) if v] for row in self.form]
+        cols = sorted(j for r in rows for j, v in r if v in (1, -1))
+        if any(len(r) != 1 for r in rows) or cols != list(range(self.n)):
+            raise ValueError("the form is not a signed permutation matrix")
+        return [r[0] for r in rows]
 
 
 def _string_block(p: int) -> tuple[Matrix, Matrix, Matrix]:
@@ -113,87 +124,91 @@ def triple_from_partition(kind: str, n: int,
             else:
                 pending[p] = pos
         pos += p
-    assert not pending, "unpaired parts left over"
+    if pending:
+        raise RuntimeError("unpaired parts left over")
     return SL2Triple(kind, n, e, h, f, form)
 
 
 # ---------------------------------------------------------------------------
-# Adjoint action in coordinates
+# Coordinates and the h-weight blocks of ad e
 # ---------------------------------------------------------------------------
 
-def _so_sp_coords(kind: str, n: int) -> list[tuple[int, int]]:
-    if kind == "so":
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return [(i, j) for i in range(n) for j in range(i, n)]
+Entries = dict[tuple[int, int], int]  # nonzero entries (i, j) -> value
 
 
-def _ad_matrix_so_sp(kind: str, n: int, e: Matrix) -> list[list[int]]:
-    """Matrix of A -> -(e^T A + A e) on (anti)symmetric A.
+def _weight_blocks(kind: str, h: list[int]
+                   ) -> dict[int, list[tuple[int, int]]]:
+    """Coordinates of the ambient algebra grouped by ad h-eigenvalue.
 
+    On sl the coordinates are those of E_ij on gl_n, of weight h_i - h_j.
     Writing X = B^{-1} A identifies so(B)/sp(B) with antisymmetric or
-    symmetric matrices A, and for e in the algebra ad e acts on the
-    A-coordinate by this formula, independently of B.
+    symmetric A, whose coordinates are (i, j) with i < j (so) or i <= j
+    (sp); ad h acts on A by A -> -(hA + Ah), so (i, j) has weight
+    -(h_i + h_j).
     """
-    from .linalg import mat_add
-    coords = _so_sp_coords(kind, n)
-    sign = -1 if kind == "so" else 1
-    et = transpose(e)
-    m = [[0] * len(coords) for _ in range(len(coords))]
-    for col, (i, j) in enumerate(coords):
-        a = zeros(n, n)
-        a[i][j] += 1
-        if i != j:
-            a[j][i] += sign
-        img = mat_scale(mat_add(mat_mul(et, a), mat_mul(a, e)), -1)
-        for row, (r, c) in enumerate(coords):
-            m[row][col] = img[r][c]
-    return m
-
-
-def _ad_matrix_gl(n: int, e: Matrix) -> list[list[int]]:
-    """Matrix of ad e on gl_n in elementary-matrix coordinates."""
-    size = n * n
-    m = [[0] * size for _ in range(size)]
-    for i in range(n):
-        for j in range(n):
-            col = i * n + j
-            # [e, E_ij] = sum_r e[r][i] E_rj - sum_c e[j][c] E_ic
-            for r in range(n):
-                if e[r][i]:
-                    m[r * n + j][col] += e[r][i]
-            for c in range(n):
-                if e[j][c]:
-                    m[i * n + c][col] -= e[j][c]
-    return m
-
-
-def algebra_dim(kind: str, n: int) -> int:
+    n = len(h)
     if kind == "sl":
-        return n * n - 1
-    if kind == "so":
-        return n * (n - 1) // 2
-    return n * (n + 1) // 2
+        coords = [(i, j, h[i] - h[j]) for i in range(n) for j in range(n)]
+    else:
+        lo = 1 if kind == "so" else 0
+        coords = [(i, j, -(h[i] + h[j]))
+                  for i in range(n) for j in range(i + lo, n)]
+    blocks: dict[int, list[tuple[int, int]]] = {}
+    for i, j, w in coords:
+        blocks.setdefault(w, []).append((i, j))
+    return blocks
+
+
+def _ad_blocks(triple: SL2Triple) -> tuple[int, dict[int, Matrix]]:
+    """The number of coordinates and, for each h-weight w, the matrix of
+    ad e from the coordinates of weight w to those of weight w + 2.
+
+    ad e is X -> L X + X R: on gl_n [e, E_ij] with L = e, R = -e; on so/sp,
+    A -> -(e^T A + A e) independently of B, read off the upper triangle.
+    e is a sum of Jordan strings, so each column has a few nonzeros.
+    """
+    kind, e = triple.kind, triple.e
+    blocks = _weight_blocks(kind, triple.h_diagonal)
+    where = {rc: (w, k) for w, cs in blocks.items() for k, rc in enumerate(cs)}
+    left = e if kind == "sl" else mat_scale(transpose(e), -1)
+    l_cols = [[(r, v) for r, v in enumerate(col) if v] for col in zip(*left)]
+    r_rows = [[(c, -v) for c, v in enumerate(row) if v] for row in e]
+    sign = -1 if kind == "so" else 1
+    ad: dict[int, Matrix] = {}
+    for w, cs in blocks.items():
+        m = zeros(len(blocks.get(w + 2, ())), len(cs))
+        for col, (i, j) in enumerate(cs):
+            terms = [(i, j, 1)] if kind == "sl" or i == j else \
+                [(i, j, 1), (j, i, sign)]  # A = E_ij +- E_ji
+            img: Entries = {}
+            for a, b, s in terms:
+                for rc, v in [((r, b), v) for r, v in l_cols[a]] + \
+                        [((a, c), v) for c, v in r_rows[b]]:
+                    img[rc] = img.get(rc, 0) + s * v
+            for rc, v in img.items():
+                if v and rc in where:
+                    w2, row = where[rc]
+                    if w2 != w + 2:
+                        raise RuntimeError(f"ad e maps h-weight {w} to {w2}")
+                    m[row][col] = v
+        ad[w] = m
+    return len(where), ad
 
 
 def centralizer_dim(triple: SL2Triple) -> int:
-    """dim of the centraliser of e in the ambient algebra, by exact rank."""
-    kind, n, e = triple.kind, triple.n, triple.e
-    if kind == "sl":
-        ad = _ad_matrix_gl(n, e)
-        return (n * n - rank(ad)) - 1
-    ad = _ad_matrix_so_sp(kind, n, e)
-    return algebra_dim(kind, n) - rank(ad)
+    """dim of the centraliser of e in the ambient algebra: the coordinates
+    minus the exact rank of ad e, summed over h-weight blocks (on sl, one
+    less for the identity of gl_n)."""
+    size, ad = _ad_blocks(triple)
+    return size - sum(rank(m) for m in ad.values()) - (triple.kind == "sl")
 
 
 def ker_ad_squared(triple: SL2Triple) -> int:
-    kind, n, e = triple.kind, triple.n, triple.e
-    if kind == "sl":
-        ad = _ad_matrix_gl(n, e)
-        ad2 = mat_mul(ad, ad)
-        return (n * n - rank(ad2)) - 1
-    ad = _ad_matrix_so_sp(kind, n, e)
-    ad2 = mat_mul(ad, ad)
-    return algebra_dim(kind, n) - rank(ad2)
+    """dim ker (ad e)^2, from the ranks of the products g(w) -> g(w + 4)."""
+    size, ad = _ad_blocks(triple)
+    r = sum(rank(mat_mul(ad[w + 2], m))
+            for w, m in ad.items() if m and ad[w + 2])
+    return size - r - (triple.kind == "sl")
 
 
 # ---------------------------------------------------------------------------
@@ -207,39 +222,33 @@ class RealizedPair:
     sign_vector: list[int] | None   # sigma = conjugation by diag(signs)
     twist: bool                     # sigma(X) = -B^{-1} X^T B (outer sl)
 
-    def sigma(self, x: Matrix) -> Matrix:
-        n = self.triple.n
+    def sigma_entries(self, x: Entries) -> Entries:
+        """sigma on a matrix given by its nonzero entries.  Conjugation by
+        diag(s) scales E_ij by s_i s_j; with B = sum_i b_i E_{i,p(i)} the
+        twist sends E_ij to -b_i b_j E_{p(j),p(i)}."""
         if self.twist:
-            b = self.triple.form
-            binv = _signed_perm_inverse(b)
-            return mat_scale(mat_mul(binv, mat_mul(transpose(x), b)), -1)
+            perm = self.triple.form_perm
+            return {(perm[j][0], perm[i][0]): -perm[i][1] * perm[j][1] * v
+                    for (i, j), v in x.items()}
         s = self.sign_vector
-        return [[s[i] * s[j] * x[i][j] for j in range(n)] for i in range(n)]
+        return {(i, j): s[i] * s[j] * v for (i, j), v in x.items()}
+
+    def sigma(self, x: Matrix) -> Matrix:
+        entries = {(i, j): v for i, row in enumerate(x)
+                   for j, v in enumerate(row) if v}
+        return _dense(self.sigma_entries(entries), self.triple.n)
 
     def fixed_space_dim(self) -> int:
         """dim of the +1 eigenspace of sigma on the ambient algebra."""
-        tr = self.triple
-        basis = _basis_with_h_weights(tr.kind, tr.n, tr.form, tr.h_diagonal)
-        from .linalg import solve_in_span
-        mats = [m for m, _ in basis]
-        sig = [[0] * len(mats) for _ in range(len(mats))]
-        for c, m in enumerate(mats):
-            for r, v in enumerate(solve_in_span(mats, self.sigma(m))):
-                sig[r][c] = int(v)
-        from .linalg import eigenspace_dim
-        return eigenspace_dim(sig, 1)
+        return sum(eigenspace_dim(sig, 1)
+                   for sig in _sigma_blocks(self).values())
 
 
-def _signed_perm_inverse(b: Matrix) -> Matrix:
-    """Inverse of a signed permutation matrix."""
-    n = len(b)
-    inv = zeros(n, n)
-    for i in range(n):
-        for j in range(n):
-            if b[i][j]:
-                assert b[i][j] in (1, -1)
-                inv[j][i] = b[i][j]
-    return inv
+def _dense(x: Entries, n: int) -> Matrix:
+    out = zeros(n, n)
+    for (i, j), v in x.items():
+        out[i][j] = v
+    return out
 
 
 def realize_pair(pair: SymmetricPair,
@@ -253,25 +262,12 @@ def realize_pair(pair: SymmetricPair,
         fparts = list(factor_partitions)
     gl_sub = pair.descriptor.startswith("gl") and kind in ("so", "sp")
     if gl_sub:
-        w = fparts[0]
-        m = w.n
-        ew, hw, fw = zeros(m, m), zeros(m, m), zeros(m, m)
-        pos = 0
-        for p in w.parts:
-            eb, hb, fb = _string_block(p)
-            _embed(ew, eb, pos, pos)
-            _embed(hw, hb, pos, pos)
-            _embed(fw, fb, pos, pos)
-            pos += p
-        e = zeros(n, n)
-        h = zeros(n, n)
-        f = zeros(n, n)
-        _embed(e, ew, 0, 0)
-        _embed(e, mat_scale(transpose(ew), -1), m, m)
-        _embed(h, hw, 0, 0)
-        _embed(h, mat_scale(hw, -1), m, m)
-        _embed(f, fw, 0, 0)
-        _embed(f, mat_scale(transpose(fw), -1), m, m)
+        m = fparts[0].n
+        tw = triple_from_partition("sl", m, fparts[0])
+        e, h, f = zeros(n, n), zeros(n, n), zeros(n, n)
+        for big, x in ((e, tw.e), (h, tw.h), (f, tw.f)):  # x on W, -x^T on W*
+            _embed(big, x, 0, 0)
+            _embed(big, mat_scale(transpose(x), -1), m, m)
         form = zeros(n, n)
         eps = 1 if kind == "so" else -1
         for i in range(m):
@@ -292,18 +288,7 @@ def realize_pair(pair: SymmetricPair,
     form = None if kind == "sl" else zeros(n, n)
     pos = 0
     for (fkind, fn), lam in zip(pair.factors, fparts):
-        if fkind == "gl":
-            eb, hb, fb = zeros(fn, fn), zeros(fn, fn), zeros(fn, fn)
-            at = 0
-            for p in lam.parts:
-                b_e, b_h, b_f = _string_block(p)
-                _embed(eb, b_e, at, at)
-                _embed(hb, b_h, at, at)
-                _embed(fb, b_f, at, at)
-                at += p
-            tb = SL2Triple("sl", fn, eb, hb, fb, None)
-        else:
-            tb = triple_from_partition(fkind, fn, lam)
+        tb = triple_from_partition("sl" if fkind == "gl" else fkind, fn, lam)
         _embed(e, tb.e, pos, pos)
         _embed(h, tb.h, pos, pos)
         _embed(f, tb.f, pos, pos)
@@ -315,47 +300,60 @@ def realize_pair(pair: SymmetricPair,
     return RealizedPair(pair, triple, signs, twist=False)
 
 
-def _basis_with_h_weights(kind: str, n: int, form: Matrix | None,
-                          h_diag: list[int]
-                          ) -> list[tuple[Matrix, int]]:
-    """Basis matrices of the ambient algebra, tagged with ad-h eigenvalue."""
-    out = []
-    if kind == "sl":
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                m = zeros(n, n)
-                m[i][j] = 1
-                out.append((m, h_diag[i] - h_diag[j]))
-        for i in range(n - 1):
-            m = zeros(n, n)
-            m[i][i] = 1
-            m[i + 1][i + 1] = -1
-            out.append((m, 0))
-        return out
-    binv = _signed_perm_inverse(form)
+def _sigma_basis(rp: RealizedPair) -> dict[int, list[Entries]]:
+    """Basis matrices of the ambient algebra by h-weight: E_ij (i != j) and
+    E_ii - E_{i+1,i+1} on sl, B^{-1} A for the coordinates A on so/sp."""
+    tr = rp.triple
+    kind, h = tr.kind, tr.h_diagonal
     sign = -1 if kind == "so" else 1
-    for (i, j) in _so_sp_coords(kind, n):
-        a = zeros(n, n)
-        a[i][j] += 1
-        if i != j:
-            a[j][i] += sign
-        x = mat_mul(binv, a)
-        out.append((x, _h_weight_of(x, h_diag)))
+    out: dict[int, list[Entries]] = {}
+    for w, coords in _weight_blocks(kind, h).items():
+        if kind == "sl":
+            out[w] = [{(i, j): 1} for i, j in coords if i != j]
+            continue
+        perm = tr.form_perm  # B^{-1} E_ij = b_i E_{p(i),j}
+        mats = []
+        for i, j in coords:
+            x = {(perm[i][0], j): perm[i][1]}
+            if i != j:
+                x[(perm[j][0], i)] = sign * perm[j][1]
+            if any(h[r] - h[c] != w for r, c in x):
+                raise RuntimeError(f"basis matrix {x} is not of h-weight {w}")
+            mats.append(x)
+        out[w] = mats
+    if kind == "sl":
+        out[0] += [{(i, i): 1, (i + 1, i + 1): -1} for i in range(tr.n - 1)]
     return out
 
 
-def _h_weight_of(x: Matrix, h_diag: list[int]) -> int:
-    w = None
-    for i in range(len(x)):
-        for j in range(len(x)):
-            if x[i][j]:
-                cand = h_diag[i] - h_diag[j]
-                assert w is None or w == cand, "basis vector mixes h-weights"
-                w = cand
-    assert w is not None
-    return w
+def _sigma_blocks(rp: RealizedPair) -> dict[int, Matrix]:
+    """The matrix of sigma on each h-weight block of the basis.
+
+    sigma sends a basis matrix to +- a basis matrix, found by its entries;
+    only the other images (the Cartan part of outer sl pairs) are solved
+    for in the span of the block."""
+    n = rp.triple.n
+    out: dict[int, Matrix] = {}
+    for w, mats in _sigma_basis(rp).items():
+        index = {}
+        for k, x in enumerate(mats):
+            index[frozenset(x.items())] = (k, 1)
+            index[frozenset((rc, -v) for rc, v in x.items())] = (k, -1)
+        sig = zeros(len(mats), len(mats))
+        for col, x in enumerate(mats):
+            y = rp.sigma_entries(x)
+            hit = index.get(frozenset(y.items()))
+            if hit is not None:
+                sig[hit[0]][col] = hit[1]
+                continue
+            coords = solve_in_span([_dense(m, n) for m in mats], _dense(y, n))
+            for row, v in enumerate(coords):
+                if v.denominator != 1:
+                    raise RuntimeError(f"sigma has coordinate {v} on the "
+                                       f"basis of h-weight {w}")
+                sig[row][col] = int(v)
+        out[w] = sig
+    return out
 
 
 def oracle_grid(pair: SymmetricPair,
@@ -363,31 +361,22 @@ def oracle_grid(pair: SymmetricPair,
                 ) -> MixedGrading:
     """The grid d_j(i) recomputed from an explicit matrix realisation."""
     rp = realize_pair(pair, factor_partitions)
-    assert rp.triple.check_relations(), "triple relations failed"
     tr = rp.triple
-    assert is_zero(mat_sub(rp.sigma(tr.e), tr.e)), "e is not sigma-fixed"
-    assert is_zero(mat_sub(rp.sigma(tr.h), tr.h)), "h is not sigma-fixed"
-    basis = _basis_with_h_weights(tr.kind, tr.n, tr.form, tr.h_diagonal)
-    # group basis indices by h-weight, then split by sigma within each block
-    blocks: dict[int, list[int]] = {}
-    for idx, (_, w) in enumerate(basis):
-        blocks.setdefault(w, []).append(idx)
-    from .linalg import eigenspace_dim, solve_in_span
+    if not tr.check_relations():
+        raise RuntimeError("triple relations failed")
+    if not is_zero(mat_sub(rp.sigma(tr.e), tr.e)):
+        raise RuntimeError("e is not sigma-fixed")
+    if not is_zero(mat_sub(rp.sigma(tr.h), tr.h)):
+        raise RuntimeError("h is not sigma-fixed")
+    # split each h-weight block by the eigenvalues of sigma
     d: dict[tuple[int, int], int] = {}
-    for w, idxs in sorted(blocks.items()):
+    for w, sig in _sigma_blocks(rp).items():
         if w < 0:
             continue
-        mats = [basis[i][0] for i in idxs]
-        images = [rp.sigma(m) for m in mats]
-        sig = [[0] * len(idxs) for _ in range(len(idxs))]
-        for c, img in enumerate(images):
-            coords = solve_in_span(mats, img)
-            for r, v in enumerate(coords):
-                assert v.denominator == 1
-                sig[r][c] = int(v)
         plus = eigenspace_dim(sig, 1)
         minus = eigenspace_dim(sig, -1)
-        assert plus + minus == len(idxs), "sigma is not an involution"
+        if plus + minus != len(sig):
+            raise RuntimeError(f"sigma is not an involution on h-weight {w}")
         d[(0, w)] = plus
         d[(1, w)] = minus
     hi = max((w for (_, w) in d), default=0)
@@ -395,7 +384,9 @@ def oracle_grid(pair: SymmetricPair,
     row1 = tuple(d.get((1, i), 0) for i in range(hi + 1))
     # sanity: the fixed subalgebra has the catalogued dimension
     fixed = row0[0] + 2 * sum(row0[1:])
-    assert fixed == pair.dim_g0, (pair.descriptor, fixed, pair.dim_g0)
+    if fixed != pair.dim_g0:
+        raise RuntimeError(f"{pair.descriptor}: sigma fixes {fixed} "
+                           f"dimensions, dim g0 is {pair.dim_g0}")
     return MixedGrading(row0, row1)
 
 
@@ -411,5 +402,6 @@ def sp_half_partition(lam: Partition, n: int) -> Partition:
     target = [v // 2 for v in lam.weight_string()]
     hits = [o.partition for o in valid_partitions("sp", n)
             if o.partition.weight_string() == target]
-    assert len(hits) == 1, f"halved weight string matched {hits}"
+    if len(hits) != 1:
+        raise RuntimeError(f"halved weight string matched {hits}")
     return hits[0]

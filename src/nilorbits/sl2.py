@@ -11,7 +11,7 @@ Both extend to sums via  F(A+B) = F(A) + F(B) + A x B.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 
 class NegativeMultiplicityError(ValueError):

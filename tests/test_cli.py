@@ -91,6 +91,10 @@ def test_oracle_command(capsys):
     code, out, _ = run(capsys, "oracle", "sl6", "(5,1)")
     assert code == 0
     assert "relations ok" in out and "dim z(e) = 7" in out
+    code, out, _ = run(capsys, "--json", "oracle", "sl40", "(40)")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["centralizer"], data["ker_ad_squared"]) == (39, 78)
 
 
 def test_verify_command(capsys):

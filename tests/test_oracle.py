@@ -5,8 +5,8 @@ from nilorbits.involutions import catalog, pair_by_descriptor
 from nilorbits.linalg import commutator, is_zero, mat_mul, mat_sub, rank
 from nilorbits.orbits import (ClassicalOrbit, Partition, centralizer_dims,
                               half_orbit, is_divisible, valid_partitions)
-from nilorbits.oracle import (centralizer_dim, ker_ad_squared, oracle_grid,
-                              realize_pair, sp_half_partition,
+from nilorbits.oracle import (RealizedPair, centralizer_dim, ker_ad_squared,
+                              oracle_grid, realize_pair, sp_half_partition,
                               triple_from_partition)
 from nilorbits.roots import SimpleType, all_simple_types
 
@@ -60,12 +60,29 @@ def test_centralizer_examples(kind, n, lam, expect):
 
 
 def test_centralizer_formula_agreement():
-    for kind, sizes in [("sl", range(2, 10)), ("so", range(3, 10)),
-                        ("sp", range(2, 10, 2))]:
+    for kind, sizes in [("sl", range(2, 13)), ("so", range(3, 13)),
+                        ("sp", range(2, 13, 2))]:
         for n in sizes:
             for o in valid_partitions(kind, n):
                 t = triple_from_partition(kind, n, o.partition)
                 assert centralizer_dim(t) == centralizer_dims(o)[0], o
+
+
+def gl_kernel_dim(parts, k):
+    """dim ker(ad e)^k on gl_n.  ad e is the sum over pairs of Jordan blocks
+    of J_a (x) J_b, whose Jordan blocks have sizes a+b-1-2t for t < min(a, b)
+    (Clebsch-Gordan)."""
+    return sum(min(k, a + b - 1 - 2 * t)
+               for a in parts for b in parts for t in range(min(a, b)))
+
+
+def test_sl_kernels_match_clebsch_gordan():
+    for n in range(2, 13):
+        for o in valid_partitions("sl", n):
+            t = triple_from_partition("sl", n, o.partition)
+            parts = o.partition.parts
+            assert centralizer_dim(t) == gl_kernel_dim(parts, 1) - 1, o
+            assert ker_ad_squared(t) == gl_kernel_dim(parts, 2) - 1, o
 
 
 def test_ker_ad_squared():
@@ -126,6 +143,21 @@ def test_oracle_grid_matches_modules():
                 continue
             assert oracle_grid(p) == grading_grid(decompose(p)), \
                 (str(t), p.descriptor)
+
+
+def test_tampered_sigma_raises(monkeypatch):
+    # doubling the entries below the diagonal keeps e and h fixed but makes
+    # sigma no involution; the check must raise, also under python -O
+    honest = RealizedPair.sigma_entries
+
+    def tampered(self, x):
+        return {(i, j): 2 * v if i > j else v
+                for (i, j), v in honest(self, x).items()}
+
+    monkeypatch.setattr(RealizedPair, "sigma_entries", tampered)
+    p = pair_by_descriptor(SimpleType("A", 3), "gl2+gl2")
+    with pytest.raises(RuntimeError, match="not an involution"):
+        oracle_grid(p)
 
 
 def test_oracle_grid_with_explicit_partition():
