@@ -32,30 +32,12 @@ class UsageError(ValueError):
 def parse_ambient(text: str) -> tuple[SimpleType, tuple[str, int] | None]:
     """Accept 'E6', 'B4', 'sl6', 'so10', 'sp8'."""
     text = text.strip()
-    low = text.lower()
-    for kind in ("sl", "so", "sp"):
-        if low.startswith(kind) and low[len(kind):].isdigit():
-            n = int(low[len(kind):])
-            if kind == "sl":
-                t = SimpleType("A", n - 1)
-            elif kind == "sp":
-                t = SimpleType("C", n // 2)
-            elif n % 2 == 1:
-                t = SimpleType("B", (n - 1) // 2)
-            else:
-                t = SimpleType("D", n // 2)
-            return t, (kind, n)
-    t = SimpleType.parse(text)
-    amb = None
-    if t.family == "A":
-        amb = ("sl", t.rank + 1)
-    elif t.family == "B":
-        amb = ("so", 2 * t.rank + 1)
-    elif t.family == "C":
-        amb = ("sp", 2 * t.rank)
-    elif t.family == "D":
-        amb = ("so", 2 * t.rank)
-    return t, amb
+    kind, size = text[:2].lower(), text[2:]
+    if kind in ("sl", "so", "sp") and size.isdigit():
+        t = SimpleType.of_ambient(kind, int(size))
+    else:
+        t = SimpleType.parse(text)
+    return t, t.ambient
 
 
 def parse_pair(text: str):
@@ -111,14 +93,10 @@ def cmd_wdd(args) -> int:
     return 0
 
 
-def cmd_orbit(args) -> int:
-    return cmd_wdd(args)
-
-
 def cmd_grade(args) -> int:
     pair = parse_pair(args.pair)
     if args.partition:
-        if pair.ambient is None:
+        if pair.g.ambient is None:
             raise UsageError("explicit partitions apply to classical "
                              "ambients only")
         lam = Partition.parse(args.partition)
@@ -209,17 +187,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="machine-readable output")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("wdd", help="weighted diagram and orbit facts")
+    p = sub.add_parser("wdd", aliases=["orbit"],
+                       help="weighted diagram and orbit facts")
     p.add_argument("type")
     p.add_argument("partition",
                    help="partition literal like '(5,3,1)', or a label like "
                         "'E6(a1)' for exceptional types")
     p.set_defaults(func=cmd_wdd)
-
-    p = sub.add_parser("orbit", help="alias of wdd")
-    p.add_argument("type")
-    p.add_argument("partition")
-    p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("grade", help="mixed grading grid of a pair")
     p.add_argument("pair", help="for example E6/C4 or so10/gl5")

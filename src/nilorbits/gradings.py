@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from math import comb
 
 from . import exceptional as exc
-from .involutions import (Factor, SymmetricPair, catalog, factor_str,
-                          ibn_signature, orbit_meets_g1, pi_involution)
+from .involutions import (Factor, SymmetricPair, factor_str, identify_ibn,
+                          pi_involution)
 from .orbits import (ClassicalOrbit, Partition, WeightedDynkinDiagram,
                      is_divisible, half_orbit, is_almost_distinguished,
                      wdd_from_partition)
@@ -49,19 +49,39 @@ def module_of_parts(parts) -> SL2Module:
     return m
 
 
+def factor_jordan_types(pair: SymmetricPair,
+                        given: list[Partition] | None = None
+                        ) -> list[Partition]:
+    """Jordan types of e in the defining representations of the factors of
+    g0: regular in each factor unless given (and then checked)."""
+    if given is None:
+        return [Partition(factor_regular_parts(f)) for f in pair.factors]
+    for f, lam in zip(pair.factors, given):
+        fkind, fn = f
+        if lam.n != fn:
+            raise ValueError(f"partition {lam} does not fit factor "
+                             f"{factor_str(f)}")
+        if fkind in ("so", "sp"):
+            ClassicalOrbit(fkind, fn, lam)  # factor validity
+    return list(given)
+
+
+def ambient_jordan_type(pair: SymmetricPair,
+                        fparts: list[Partition]) -> Partition:
+    """Jordan type of e in the matrix ambient: the factor parts, twice over
+    for gl_r acting on W + W* in so_2r/sp_2r."""
+    parts = [p for lam in fparts for p in lam.parts]
+    if pair.shape == "hermitian":
+        parts *= 2
+    return Partition(tuple(sorted(parts, reverse=True)))
+
+
 def regular_e_partition(pair: SymmetricPair) -> Partition:
     """Ambient Jordan type of an element regular in each factor of g0."""
-    amb = pair.ambient
-    if amb is None:
+    if pair.g.ambient is None:
         raise ValueError(f"{pair} is exceptional; orbits come from the "
                          "static records")
-    if pair.descriptor.startswith("gl") and amb[0] in ("so", "sp"):
-        n = pair.factors[0][1]
-        return Partition((n, n))
-    parts: list[int] = []
-    for f in pair.factors:
-        parts.extend(factor_regular_parts(f))
-    return Partition(tuple(sorted(parts, reverse=True)))
+    return ambient_jordan_type(pair, factor_jordan_types(pair))
 
 
 # ---------------------------------------------------------------------------
@@ -92,11 +112,10 @@ class PairDecomposition:
         return self.m0.weights_all_even() and self.m1.weights_all_even()
 
     def ambient_orbit(self) -> ClassicalOrbit:
-        kind, n = self.pair.ambient
-        return ClassicalOrbit(kind, n, self.ambient_partition)
+        return ClassicalOrbit(*self.pair.g.ambient, self.ambient_partition)
 
     def ambient_wdd(self) -> WeightedDynkinDiagram:
-        if self.pair.ambient is None:
+        if self.pair.g.ambient is None:
             rec = exc.exceptional_lookup(self.pair.g, self.orbit_label)
             return rec.wdd
         return wdd_from_partition(self.ambient_orbit())
@@ -117,56 +136,38 @@ def decompose_classical(pair: SymmetricPair,
       (sp, gl):   M0 = W x W,             M1 = 2 Sym2 W
       (so, gl):   M0 = W x W,             M1 = 2 Alt2 W
     """
-    amb = pair.ambient
+    amb = pair.g.ambient
     if amb is None:
         raise ValueError(f"{pair} is exceptional; use decompose_exceptional")
     kind, n = amb
-    if factor_partitions is None:
-        fparts = [Partition(factor_regular_parts(f)) for f in pair.factors]
-    else:
-        fparts = list(factor_partitions)
-        for f, lam in zip(pair.factors, fparts):
-            fkind, fn = f
-            if lam.n != fn:
-                raise ValueError(f"partition {lam} does not fit factor "
-                                 f"{factor_str(f)}")
-            if fkind in ("so", "sp"):
-                ClassicalOrbit(fkind, fn, lam)  # factor validity
+    fparts = factor_jordan_types(pair, factor_partitions)
     v = [module_of_parts(lam.parts) for lam in fparts]
-    gl_sub = pair.descriptor.startswith("gl") and kind in ("so", "sp")
-
-    if gl_sub:
+    if pair.shape == "hermitian":
         w = v[0]
         m0 = tensor(w, w)
         m1 = 2 * (sym2(w) if kind == "sp" else alt2(w))
-        ambient_parts = tuple(sorted(
-            [p for lam in fparts for p in lam.parts] * 2, reverse=True))
-    else:
-        ambient_parts = tuple(sorted(
-            (p for lam in fparts for p in lam.parts), reverse=True))
-        if kind == "sl" and len(pair.factors) == 1:
-            f0 = pair.factors[0][0]
-            if f0 == "so":
-                m0, m1 = alt2(v[0]), sym2(v[0]).subtract(R(0))
-            else:
-                m0, m1 = sym2(v[0]), alt2(v[0]).subtract(R(0))
-        elif kind == "sl":
-            m0 = (tensor(v[0], v[0]) + tensor(v[1], v[1])).subtract(R(0))
-            m1 = 2 * tensor(v[0], v[1])
-        elif kind == "so":
-            m0 = alt2(v[0]) + alt2(v[1])
-            m1 = tensor(v[0], v[1])
+    elif pair.shape == "twisted":
+        if pair.factors[0][0] == "so":
+            m0, m1 = alt2(v[0]), sym2(v[0]).subtract(R(0))
         else:
-            m0 = sym2(v[0]) + sym2(v[1])
-            m1 = tensor(v[0], v[1])
-    lam = Partition(ambient_parts)
+            m0, m1 = sym2(v[0]), alt2(v[0]).subtract(R(0))
+    elif kind == "sl":
+        m0 = (tensor(v[0], v[0]) + tensor(v[1], v[1])).subtract(R(0))
+        m1 = 2 * tensor(v[0], v[1])
+    elif kind == "so":
+        m0 = alt2(v[0]) + alt2(v[1])
+        m1 = tensor(v[0], v[1])
+    else:
+        m0 = sym2(v[0]) + sym2(v[1])
+        m1 = tensor(v[0], v[1])
+    lam = ambient_jordan_type(pair, fparts)
     ClassicalOrbit(kind, n, lam)  # validity check of the ambient type
     return PairDecomposition(pair, m0, m1, ambient_partition=lam)
 
 
 def decompose_exceptional(pair: SymmetricPair,
                           orbit_label: str = "regular") -> PairDecomposition:
-    if pair.ambient is not None:
+    if pair.g.ambient is not None:
         raise ValueError(f"{pair} is classical; use decompose_classical")
     if orbit_label != "regular":
         raise KeyError("only decompositions at a regular element of g0 "
@@ -178,7 +179,7 @@ def decompose_exceptional(pair: SymmetricPair,
 
 def decompose(pair: SymmetricPair) -> PairDecomposition:
     """Decomposition at an element regular in g0."""
-    if pair.ambient is None:
+    if pair.g.ambient is None:
         return decompose_exceptional(pair)
     return decompose_classical(pair)
 
@@ -334,8 +335,9 @@ def upsilon(pd: PairDecomposition) -> UpsilonResult:
     diff_check = s0 + pd.m1.signed_count("even_plus")
     diff_cross = s0 + pd.m1.signed_count("odd_flip")
     wdd = pd.ambient_wdd()
-    sigma_check = _identify(pd.pair.g, -diff_check, True, wdd)
-    sigma_sigma_check = _identify(pd.pair.g, -diff_cross, pd.pair.inner, wdd)
+    sigma_check = identify_ibn(pd.pair.g, -diff_check, True, wdd)
+    sigma_sigma_check = identify_ibn(pd.pair.g, -diff_cross, pd.pair.inner,
+                                     wdd)
     # the identified dimensions must reproduce the grid differences
     g = pd.pair.g.dimension
     for q, diff in ((sigma_check, diff_check),
@@ -345,19 +347,6 @@ def upsilon(pd: PairDecomposition) -> UpsilonResult:
                                f"difference {diff} needs {(g + diff) / 2}")
     return UpsilonResult(pd.pair, sigma_check, sigma_sigma_check,
                          diff_check, diff_cross)
-
-
-def _identify(t: SimpleType, signature: int, inner: bool,
-              wdd: WeightedDynkinDiagram) -> SymmetricPair:
-    hits = [p for p in catalog(t)
-            if p.satake.ibn and p.inner == inner
-            and ibn_signature(p.satake) == signature
-            and orbit_meets_g1(wdd, p.satake)]
-    if len(hits) != 1:
-        raise LookupError(
-            f"IBN signature {signature} ({'inner' if inner else 'outer'}) "
-            f"matched {[p.descriptor for p in hits]} in {t}")
-    return hits[0]
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +390,7 @@ def divisibility_report(pd: PairDecomposition,
                and check_4k2(mg))
     no_r2 = pd.m1.mult.get(2, 0) == 0
     semis = pd.pair.g0_semisimple
-    if pd.pair.ambient is not None:
+    if pd.pair.g.ambient is not None:
         orbit = pd.ambient_orbit()
         divisible = is_divisible(orbit)
         e_ad = is_almost_distinguished(orbit)
@@ -443,13 +432,13 @@ def collapsing_defect(t: SimpleType) -> tuple[int, bool]:
     """(d, finite-to-one?) where d = dim g^{e} - 2 rank for e regular in
     the fixed algebra of the principal inner involution."""
     pair = pi_involution(t)
-    if pair.ambient is None:
+    if pair.g.ambient is None:
         pd = decompose_exceptional(pair)
         rec = exc.exceptional_lookup(t, pd.orbit_label)
         dim_cent = rec.dim_centralizer
     else:
         from .orbits import centralizer_dims
         dim_cent = centralizer_dims(
-            ClassicalOrbit(*pair.ambient, regular_e_partition(pair)))[0]
+            ClassicalOrbit(*t.ambient, regular_e_partition(pair)))[0]
     d = dim_cent - 2 * t.rank
     return d, d == 0

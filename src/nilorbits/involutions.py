@@ -18,9 +18,9 @@ share the signature -4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .roots import EXCEPTIONAL_DIMENSION, SimpleType
+from .roots import SimpleType
 
 Factor = tuple[str, int]
 
@@ -37,13 +37,7 @@ def factor_dim(f: Factor) -> int:
         return n * n - 1
     if kind == "t":
         return n
-    if kind in ("A", "A~"):
-        return n * (n + 2)
-    if kind in ("B", "C"):
-        return n * (2 * n + 1)
-    if kind == "D":
-        return n * (2 * n - 1)
-    return EXCEPTIONAL_DIMENSION[(kind, n)]
+    return SimpleType(kind[0], n).dimension  # Cartan label; A~ is a copy of A
 
 
 def factor_rank(f: Factor) -> int:
@@ -153,19 +147,18 @@ class SymmetricPair:
         return sum(factor_rank(f) for f in self.factors) - \
             (1 if self.traced else 0)
 
-    @property
-    def ambient(self) -> tuple[str, int] | None:
-        """(matrix kind, size) for classical g, None for exceptional."""
-        fam, r = self.g.family, self.g.rank
-        if fam == "A":
-            return ("sl", r + 1)
-        if fam == "B":
-            return ("so", 2 * r + 1)
-        if fam == "C":
-            return ("sp", 2 * r)
-        if fam == "D":
-            return ("so", 2 * r)
-        return None
+    @cached_property
+    def shape(self) -> str | None:
+        """How g0 sits in the matrix ambient of a classical g: 'hermitian'
+        (gl_r in so_2r or sp_2r), 'twisted' (so_n or sp_n in sl_n, fixed by
+        an outer involution) or 'blocks' (a block-diagonal sum); None for
+        exceptional g."""
+        amb = self.g.ambient
+        if amb is None:
+            return None
+        if len(self.factors) > 1:
+            return "blocks"
+        return "twisted" if amb[0] == "sl" else "hermitian"
 
     @property
     def g0_str(self) -> str:
@@ -298,6 +291,9 @@ def normalize_descriptor(t: SimpleType, descriptor: str) -> str:
     if d.startswith("s(") and d.endswith(")"):
         d = d[2:-1]
     parts = d.split("+")
+    if not all(parts):
+        raise ValueError(f"empty part in fixed-algebra descriptor "
+                         f"{descriptor!r}")
     if t.family in "ABCD":
         table = {"B": lambda k: f"so{2 * k + 1}", "D": lambda k: f"so{2 * k}",
                  "C": lambda k: f"sp{2 * k}"}
@@ -305,7 +301,7 @@ def normalize_descriptor(t: SimpleType, descriptor: str) -> str:
                  if p[0] in table and p[1:].isdigit() else p
                  for p in parts]
     if t.family in ("B", "D") and len(parts) == 1 and parts[0].startswith("so"):
-        n = 2 * t.rank + (1 if t.family == "B" else 0)
+        n = t.ambient[1]
         k = int(parts[0][2:])
         if k < n:
             parts.append(f"so{n - k}")
@@ -357,22 +353,25 @@ def so_pair_ibn(n: int, m: int) -> bool:
     return abs(n - m) <= 4
 
 
-def identify_ibn(t: SimpleType, diff: int,
-                 inner: bool | None = None) -> SymmetricPair:
-    """The IBN class with dim g1 - dim g0 = diff (optionally of given
-    component)."""
+def identify_ibn(t: SimpleType, diff: int, inner: bool | None = None,
+                 wdd=None) -> SymmetricPair:
+    """The IBN class with dim g1 - dim g0 = diff, optionally of the given
+    component and meeting the orbit with weighted diagram wdd (which
+    separates the D4 triality twins)."""
     hits = [p for p in catalog(t)
-            if p.satake.ibn and ibn_signature(p.satake) == diff
-            and (inner is None or p.inner == inner)]
+            if p.satake.ibn and (inner is None or p.inner == inner)
+            and ibn_signature(p.satake) == diff
+            and (wdd is None or orbit_meets_g1(wdd, p.satake))]
     if len(hits) == 1:
         return hits[0]
-    sigs = sorted((ibn_signature(p.satake), p.descriptor)
-                  for p in catalog(t) if p.satake.ibn
-                  and (inner is None or p.inner == inner))
+    meets = "" if wdd is None else f" meeting the orbit {wdd.labels}"
     if not hits:
-        raise KeyError(f"no IBN class of {t} with signature {diff}; "
+        sigs = sorted((ibn_signature(p.satake), p.descriptor)
+                      for p in catalog(t) if p.satake.ibn
+                      and (inner is None or p.inner == inner))
+        raise KeyError(f"no IBN class of {t} with signature {diff}{meets}; "
                        f"available: {sigs}")
-    raise KeyError(f"signature {diff} is ambiguous for {t}: "
+    raise KeyError(f"signature {diff} is ambiguous for {t}{meets}: "
                    f"{[p.descriptor for p in hits]} (triality twins)")
 
 

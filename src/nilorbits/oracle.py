@@ -5,9 +5,9 @@ This is the independent verification path: sl_n is realised as traceless
 matrices, so_n/sp_n as {X : X^T B + B X = 0} for an explicit integer form
 B, nilpotent triples are built block-by-block from Jordan strings, and
 every dimension (centralisers, kernels, grading layers) is recomputed by
-exact rank arithmetic, one h-weight block at a time.  Nothing here consults the partition formulas or
-the sl2-module calculus, so agreement between the two paths is a real
-check.
+exact rank arithmetic, one h-weight block at a time.  Nothing here
+consults the partition formulas or the sl2-module calculus, so agreement
+between the two paths is a real check.
 
 Basis conventions: the invariant form on a length-p Jordan string is
   <v_i, v_{p-1-i}> = (-1)^i,
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .gradings import MixedGrading
+from .gradings import MixedGrading, factor_jordan_types
 from .involutions import SymmetricPair
 from .linalg import (Matrix, commutator, eigenspace_dim, is_zero, mat_mul,
                      mat_scale, mat_sub, rank, solve_in_span, transpose, zeros)
@@ -254,14 +254,9 @@ def _dense(x: Entries, n: int) -> Matrix:
 def realize_pair(pair: SymmetricPair,
                  factor_partitions: list[Partition] | None = None
                  ) -> RealizedPair:
-    kind, n = pair.ambient
-    from .gradings import factor_regular_parts
-    if factor_partitions is None:
-        fparts = [Partition(factor_regular_parts(f)) for f in pair.factors]
-    else:
-        fparts = list(factor_partitions)
-    gl_sub = pair.descriptor.startswith("gl") and kind in ("so", "sp")
-    if gl_sub:
+    kind, n = pair.g.ambient
+    fparts = factor_jordan_types(pair, factor_partitions)
+    if pair.shape == "hermitian":
         m = fparts[0].n
         tw = triple_from_partition("sl", m, fparts[0])
         e, h, f = zeros(n, n), zeros(n, n), zeros(n, n)
@@ -276,7 +271,7 @@ def realize_pair(pair: SymmetricPair,
         triple = SL2Triple(kind, n, e, h, f, form)
         signs = [1] * m + [-1] * m
         return RealizedPair(pair, triple, signs, twist=False)
-    if kind == "sl" and len(pair.factors) == 1:
+    if pair.shape == "twisted":
         fkind = pair.factors[0][0]
         triple = triple_from_partition(fkind, n, fparts[0])
         triple = SL2Triple("sl", n, triple.e, triple.h, triple.f, triple.form)

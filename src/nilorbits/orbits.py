@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .involutions import factor_dim
 from .roots import SimpleType, build_root_system
 
 
@@ -211,20 +212,8 @@ def render_labelled_diagram(t: SimpleType, labels) -> str:
     return top + "\n" + " " * pos + node(1)
 
 
-def _diagram_type(kind: str, n: int) -> SimpleType:
-    if kind == "sl":
-        if n < 2:
-            raise ValueError("sl_n needs n >= 2 for a Dynkin diagram")
-        return SimpleType("A", n - 1)
-    if kind == "sp":
-        return SimpleType("C", n // 2)
-    if n % 2 == 1:
-        return SimpleType("B", (n - 1) // 2)
-    return SimpleType("D", n // 2)
-
-
 def wdd_from_partition(o: ClassicalOrbit) -> WeightedDynkinDiagram:
-    t = _diagram_type(o.kind, o.n)
+    t = SimpleType.of_ambient(o.kind, o.n)
     h = o.partition.weight_string()
     m = t.rank
     if o.kind == "sl":
@@ -262,15 +251,7 @@ class ReductiveCentralizer:
 
     @property
     def dim(self) -> int:
-        total = 0
-        for kind, m in self.factors:
-            if kind == "gl":
-                total += m * m
-            elif kind == "so":
-                total += m * (m - 1) // 2
-            else:
-                total += m * (m + 1) // 2
-        return total - (1 if self.traced else 0)
+        return sum(factor_dim(f) for f in self.factors) - self.traced
 
     @property
     def is_trivial(self) -> bool:

@@ -18,11 +18,8 @@ Coxeter number) is exact.  Node numbering conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import Iterable
-
-EXCEPTIONAL_DIMENSION = {("E", 6): 78, ("E", 7): 133, ("E", 8): 248,
-                         ("F", 4): 52, ("G", 2): 14}
 
 _RANK_BOUNDS = {
     "A": (1, None),
@@ -68,16 +65,28 @@ class SimpleType:
             raise ValueError(f"cannot parse simple type from {text!r}")
         return SimpleType(text[0].upper(), int(text[1:]))
 
+    @staticmethod
+    def of_ambient(kind: str, n: int) -> "SimpleType":
+        """The type of sl_n, so_n or sp_n (n even)."""
+        if kind == "sl":
+            return SimpleType("A", n - 1)
+        if kind == "so":
+            return SimpleType("B" if n % 2 else "D", n // 2)
+        if kind == "sp" and n % 2 == 0:
+            return SimpleType("C", n // 2)
+        raise ValueError(f"{kind}{n} is not sl_n, so_n or sp_n with n even")
+
+    @cached_property
+    def ambient(self) -> tuple[str, int] | None:
+        """(matrix kind, size) of the defining representation of a classical
+        type; None for E, F and G."""
+        r = self.rank
+        return {"A": ("sl", r + 1), "B": ("so", 2 * r + 1), "C": ("sp", 2 * r),
+                "D": ("so", 2 * r)}.get(self.family)
+
     @property
     def dimension(self) -> int:
-        n = self.rank
-        if self.family == "A":
-            return n * (n + 2)
-        if self.family in ("B", "C"):
-            return n * (2 * n + 1)
-        if self.family == "D":
-            return n * (2 * n - 1)
-        return EXCEPTIONAL_DIMENSION[(self.family, n)]
+        return self.rank + 2 * self.num_positive_roots
 
     @property
     def num_positive_roots(self) -> int:

@@ -193,7 +193,7 @@ def suite_tables(max_rank: int = 8) -> VerificationReport:
         pi = pi_involution(t)
         part = regular_e_partition(pi)
         rep.add(f"{t} PI partition", "regular Jordan type", lam, part.parts)
-        orbit = ClassicalOrbit(*pi.ambient, part)
+        orbit = ClassicalOrbit(*t.ambient, part)
         total, red_dim, nil_dim = centralizer_dims(orbit)
         rep.add(f"{t} PI dims", "(dim, red, nil)", (dim, red, nil),
                 (total, str(reductive_type(orbit)), nil_dim))
@@ -274,8 +274,9 @@ def suite_divisible(max_rank: int = 8) -> VerificationReport:
         pd = decompose(pair)
         if check_04(grading_grid(pd)):
             hits.add((str(pair.g), pair.descriptor))
-    expected = {("E6", "C4"), ("E7", "A7"), ("E8", "D8")}
-    for n in range(3, 10):
+    expected = {(f"E{r}", g0) for r, g0 in ((6, "C4"), (7, "A7"), (8, "D8"))
+                if r <= max_rank}
+    for n in range(3, max_rank + 2):
         pair = pair_by_descriptor(SimpleType("A", n - 1), f"so{n}")
         if _sl_family_member(regular_e_partition(pair).parts):
             expected.add((str(pair.g), pair.descriptor))
@@ -330,7 +331,8 @@ def suite_balanced(max_rank: int = 8) -> VerificationReport:
         expected.add((f"D{r}", f"so{r + 1}+so{r - 1}"))
     for k in range(2, max_rank // 2 + 1):  # (so_{4k+1}, so_{2k+2}+so_{2k-1})
         expected.add((f"B{2 * k}", f"so{2 * k + 2}+so{2 * k - 1}"))
-    expected.add(("E6", "A5+A1"))
+    if max_rank >= 6:
+        expected.add(("E6", "A5+A1"))
     rep.add("regular sweep", "pairs with d0(0)=d1(2)",
             tuple(sorted(expected)), tuple(sorted(hits)))
     # consequences: |m0 - m1| <= 2 and d0(0) <= d1(0)
@@ -432,8 +434,8 @@ def suite_oracle(max_n: int = 9) -> VerificationReport:
             rep.add(f"sp half {o} toral", "half never almost distinguished",
                     False,
                     reductive_type(ClassicalOrbit("sp", n, half)).is_toral)
-    for pair in swept_pairs(8, include_exceptional=False):
-        if pair.ambient[1] > max_n:
+    for pair in swept_pairs(max_n - 1, include_exceptional=False):
+        if pair.g.ambient[1] > max_n:
             continue
         rep.add(f"grid {pair.g}/{pair.descriptor}",
                 "matrix grid = module grid",
@@ -458,13 +460,17 @@ _TABLE_3 = {
     ("E6", "F4"): ("A5+A1", "C4"),
 }
 
-_PI_UPSILON_EXCEPTIONS = {
-    "A5": "gl2+gl4",          # A_{4n+1}: s(gl_{2n} + gl_{2n+2})
-    "B5": "so7+so4",          # B_{4n+1}: so_{4n+3} + so_{4n}
-    "C3": "sp4+sp2", "C5": "sp6+sp4", "C7": "sp8+sp6",  # C_{2n+1}
-    "D6": "so8+so4",          # D_{4n+2}: so_{4n+4} + so_{4n}
-    "E7": "D6+A1",
-}
+def _pi_upsilon_exceptions(max_rank: int) -> dict[str, str]:
+    """Derived classes of the PI involutions that differ from the PI class,
+    by type (all such types of rank <= max_rank): four classical series
+    and E7."""
+    out = {"E7": "D6+A1"}
+    for n in range(1, max_rank // 2 + 1):
+        out[f"A{4 * n + 1}"] = f"gl{2 * n}+gl{2 * n + 2}"
+        out[f"B{4 * n + 1}"] = f"so{4 * n + 3}+so{4 * n}"
+        out[f"C{2 * n + 1}"] = f"sp{2 * n + 2}+sp{2 * n}"
+        out[f"D{4 * n + 2}"] = f"so{4 * n + 4}+so{4 * n}"
+    return out
 
 
 def suite_upsilon(max_rank: int = 8) -> VerificationReport:
@@ -489,6 +495,7 @@ def suite_upsilon(max_rank: int = 8) -> VerificationReport:
         rep.add(f"so{2*n}/gl{n}", "hermitian pair classes", want,
                 (u.sigma_check.descriptor, u.sigma_sigma_check.descriptor))
     # the map on principal inner involutions
+    exceptions = _pi_upsilon_exceptions(max_rank)
     for t in all_simple_types(max_rank):
         if t == SimpleType("A", 1):
             continue
@@ -497,7 +504,7 @@ def suite_upsilon(max_rank: int = 8) -> VerificationReport:
         if not pd.e_is_even:
             continue  # inner involutions of sl_odd are excluded
         u = upsilon(pd)
-        want = _PI_UPSILON_EXCEPTIONS.get(str(t), pair.descriptor)
+        want = exceptions.get(str(t), pair.descriptor)
         rep.add(f"{t} PI", "class of the derived involution", want,
                 u.sigma_check.descriptor)
         # the derived involution of a PI-involution is again computable;

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nilorbits.cli import main, parse_ambient, parse_pair
 
@@ -38,6 +42,7 @@ def test_wdd_command(capsys):
     assert code == 0
     assert "0, 2, 0, 2" in out.replace("(", "(").replace(")", ")")
     assert "dim g^e = 8" in out
+    assert run(capsys, "orbit", "C4", "(4,4)") == (0, out, "")
 
 
 def test_wdd_json_roundtrip(capsys):
@@ -144,3 +149,33 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "grade", "E6")[0] == 2             # missing descriptor
     assert run(capsys, "upsilon", "E6/D5+t1-diagram")[0] == 2  # inner class
     assert run(capsys, "oracle", "E8", "E8(a4)")[0] == 2  # oracle is classical
+    assert run(capsys, "catalog", "sp7")[0] == 2          # sp needs even size
+    assert run(capsys, "grade", "sp7/gl3")[0] == 2
+
+
+# small sizes only: a free-text token carries no digits, so no argv asks
+# for a huge matrix or rank
+_COMMANDS = [["wdd"], ["orbit"], ["grade"], ["upsilon"], ["catalog"],
+             ["oracle"], ["verify", "--suite", "kappa"], ["bogus"], []]
+_WORDS = ["E6", "E8", "G2", "B4", "C4", "D4", "A1", "sl1", "sl4", "so4",
+          "so9", "so10", "sp7", "sp8", "E6/C4", "E6/C4-diagram", "so10/gl5",
+          "A5/C3-diagram", "so9/so8", "sl6/so6", "sp8/gl4", "sl4/", "D8/",
+          "sl4/gl2+", "sp7/gl3", "(5,1)", "(4,4)", "(3,2)", "(2,2)", "()",
+          "(0)", "E8(a4)", "--json", "--help", "--max-rank", "2", "-1"]
+_TOKENS = st.one_of(st.sampled_from(_WORDS),
+                    st.text(alphabet="acdeglnopsACDEG/+()-,~ ", max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_COMMANDS), st.lists(_TOKENS, max_size=4))
+@example(["grade"], ["sl4/"])
+@example(["upsilon"], ["D8/"])
+@example(["grade"], ["sl4/gl2+"])
+def test_any_argv_exits_0_1_or_2(command, rest):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(command + rest)
+        except SystemExit as ex:  # argparse: usage errors and --help
+            code = ex.code
+    assert code in (0, 1, 2), command + rest

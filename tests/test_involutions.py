@@ -94,6 +94,16 @@ def test_identify_ibn():
     assert identify_ibn(SimpleType("A", 5), 1).descriptor == "gl3+gl3"
 
 
+def test_identify_ibn_orbit_filter():
+    # gl4 has black nodes {1, 3}, so6+so2 has {3, 4}: the orbit separates
+    # the triality twins, and an orbit meeting neither is a KeyError
+    d4 = SimpleType("D", 4)
+    wdd = WeightedDynkinDiagram(d4, (0, 2, 0, 2))
+    assert identify_ibn(d4, -4, True, wdd).descriptor == "gl4"
+    with pytest.raises(KeyError, match="meeting the orbit"):
+        identify_ibn(d4, -4, True, WeightedDynkinDiagram(d4, (2, 2, 2, 2)))
+
+
 def test_so_pair_ibn_rule():
     assert so_pair_ibn(5, 3) and not so_pair_ibn(9, 3) and so_pair_ibn(7, 7)
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from nilorbits.oracle import (RealizedPair, centralizer_dim, ker_ad_squared,
                               oracle_grid, realize_pair, sp_half_partition,
                               triple_from_partition)
 from nilorbits.roots import SimpleType, all_simple_types
+from nilorbits.verify import suite_oracle
 
 
 def P(text):
@@ -139,7 +140,7 @@ def test_oracle_grid_matches_modules():
         if t.family not in "ABCD" or str(t) == "A1":
             continue
         for p in catalog(t):
-            if p.ambient[1] > 9:
+            if p.g.ambient[1] > 9:
                 continue
             assert oracle_grid(p) == grading_grid(decompose(p)), \
                 (str(t), p.descriptor)
@@ -192,3 +193,9 @@ def test_commutator_helper():
     b = [[0, 0], [1, 0]]
     assert commutator(a, b) == [[1, 0], [0, -1]]
     assert is_zero(mat_sub(mat_mul(a, b), [[1, 0], [0, 0]]))
+
+
+def test_oracle_suite_grids_follow_max_n():
+    rep = suite_oracle(10)
+    assert rep.ok, rep.render()
+    assert any(c.case_id.startswith("grid A9/") for c in rep.cases)

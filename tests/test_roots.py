@@ -168,3 +168,18 @@ def test_json_shape():
     assert data["type"] == {"family": "G", "rank": 2}
     assert [3, 2] in data["positive_roots"]
     assert data["highest_root"] == [3, 2]
+
+
+def test_ambient_round_trip_and_dimensions():
+    exceptional = {"E6": 78, "E7": 133, "E8": 248, "F4": 52, "G2": 14}
+    for t in all_simple_types(24):
+        if t.ambient is None:
+            assert t.dimension == exceptional[str(t)]
+            continue
+        kind, n = t.ambient
+        assert SimpleType.of_ambient(kind, n) == t
+        assert t.dimension == {"sl": n * n - 1, "so": n * (n - 1) // 2,
+                               "sp": n * (n + 1) // 2}[kind]
+    for n in (1, 3, 7):
+        with pytest.raises(ValueError):
+            SimpleType.of_ambient("sp", n)
