@@ -134,14 +134,15 @@ def cmd_upsilon(args) -> int:
 
 def cmd_catalog(args) -> int:
     t, _ = parse_ambient(args.type)
+    pairs = catalog(t)
     rows = []
-    for p in catalog(t):
+    for p in pairs:
         rows.append(f"{p.descriptor:14s} dim g0 = {p.dim_g0:4d}  "
                     f"{'inner' if p.inner else 'outer'}  "
                     f"{'IBN ' if p.satake.ibn else '    '} "
                     f"{p.satake.render()}")
     _emit(args, {"type": t.to_json(),
-                 "pairs": [p.to_json() for p in catalog(t)]},
+                 "pairs": [p.to_json() for p in pairs]},
           "\n".join(rows))
     return 0
 
@@ -165,10 +166,14 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag, bound in (("--max-rank", args.max_rank),
+                        ("--max-n", args.max_n)):
+        if bound < 1:
+            raise UsageError(f"{flag} must be at least 1, got {bound}")
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     reports = []
     for name in names:
-        rep = run_suite(name, max_rank=args.max_rank)
+        rep = run_suite(name, max_rank=args.max_rank, max_n=args.max_n)
         reports.append(rep)
         if not args.json:
             print(rep.render(verbose=args.verbose))
@@ -221,6 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print passing cases too")
     p.add_argument("--max-rank", type=int, default=8,
                    help="rank bound for the classical sweeps")
+    p.add_argument("--max-n", type=int, default=9,
+                   help="matrix size bound for the oracle suite")
     p.set_defaults(func=cmd_verify)
     return ap
 

@@ -43,10 +43,7 @@ def factor_regular_parts(f: Factor) -> tuple[int, ...]:
 
 
 def module_of_parts(parts) -> SL2Module:
-    m = SL2Module()
-    for p in parts:
-        m = m + R(p - 1)
-    return m
+    return SL2Module(p - 1 for p in parts)
 
 
 def factor_jordan_types(pair: SymmetricPair,

@@ -17,15 +17,19 @@ def zeros(r: int, c: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    bt = list(zip(*b))
-    out = zeros(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        if not any(ai):
-            continue
-        for j in range(cols):
-            out[i][j] = sum(ai[k] * bt[j][k] for k in range(inner))
+    """a * b, skipping the zero entries of each row of a and of b."""
+    if any(len(ai) != len(b) for ai in a):
+        raise ValueError("inner dimensions of the product differ")
+    cols = len(b[0])
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for ai in a:
+        row = [0] * cols
+        for k, x in enumerate(ai):
+            if x:
+                for j, y in b_rows[k]:
+                    row[j] += x * y
+        out.append(row)
     return out
 
 

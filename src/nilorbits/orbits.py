@@ -9,6 +9,7 @@ and take successive differences (with the type-specific tail rule).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -156,11 +157,8 @@ class WeightedDynkinDiagram:
     @cached_property
     def height_counts(self) -> dict[int, int]:
         """Number of positive roots at each weighted height <alpha, labels>."""
-        out: dict[int, int] = {}
-        for r in build_root_system(self.type).positive_roots:
-            h = sum(c * v for c, v in zip(r.coeffs, self.labels))
-            out[h] = out.get(h, 0) + 1
-        return out
+        return Counter(
+            build_root_system(self.type).weighted_heights(self.labels))
 
     def dim_centralizer_of_h(self) -> int:
         """dim of the zero layer of the grading cut out by the labels."""

@@ -198,11 +198,19 @@ class Root:
 
 
 class RootSystem:
-    """The positive system of an irreducible root system, built by closure."""
+    """The positive system of an irreducible root system, built by closure.
 
-    def __init__(self, type: SimpleType, positive_roots: tuple[Root, ...]):
+    ``parents[k]`` is (j, i) with positive_roots[k] = positive_roots[j] +
+    alpha_i for a root of height >= 2, and (None, i) for alpha_i itself.
+    Roots are sorted by height, so the simple roots come first and every
+    parent precedes its child.
+    """
+
+    def __init__(self, type: SimpleType, positive_roots: tuple[Root, ...],
+                 parents: tuple[tuple[int | None, int], ...]):
         self.type = type
         self.positive_roots = positive_roots
+        self.parents = parents
         self._index = {r.coeffs: r for r in positive_roots}
         self.simple_roots = tuple(r for r in positive_roots if r.height == 1)
         self.highest_root = max(positive_roots, key=lambda r: r.height)
@@ -230,6 +238,14 @@ class RootSystem:
         return sum(c[i] * c[j] * d[i] * a[i][j]
                    for i in range(self.rank) for j in range(self.rank))
 
+    def weighted_heights(self, labels) -> list[int]:
+        """<root, labels> for each positive root, in root order: one add
+        per root, from its parent's value."""
+        out = [labels[i] for _, i in self.parents[:self.rank]]
+        for j, i in self.parents[self.rank:]:
+            out.append(out[j] + labels[i])
+        return out
+
     def is_long(self, root: Root) -> bool:
         return self.norm2(root) == max(self.norm2(s) for s in self.simple_roots)
 
@@ -255,7 +271,9 @@ def build_root_system(t: SimpleType) -> RootSystem:
     rows = [[(j, x) for j, x in enumerate(row) if x]
             for row in t.cartan_matrix()]
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    known: set[tuple[int, ...]] = set(simple)
+    # root -> (parent root, i) with root = parent + alpha_i
+    known: dict[tuple[int, ...], tuple[tuple[int, ...] | None, int]] = {
+        s: (None, i) for i, s in enumerate(simple)}
     layer = list(simple)
     while layer:
         new_layer = []
@@ -274,15 +292,19 @@ def build_root_system(t: SimpleType) -> RootSystem:
                 if p > pairing:
                     up = g[:i] + (gi + 1,) + g[i + 1:]
                     if up not in known:
-                        known.add(up)
+                        known[up] = (g, i)
                         new_layer.append(up)
         layer = new_layer
-    roots = tuple(Root(c) for c in sorted(known, key=lambda c: (sum(c), c)))
+    order = sorted(known, key=lambda c: (sum(c), c))
+    index = {c: k for k, c in enumerate(order)}
+    roots = tuple(Root(c) for c in order)
     if len(roots) != t.num_positive_roots:
         raise RuntimeError(
             f"closure for {t} produced {len(roots)} positive roots, "
             f"expected {t.num_positive_roots}")
-    return RootSystem(t, roots)
+    parents = tuple((None if g is None else index[g], i)
+                    for g, i in map(known.get, order))
+    return RootSystem(t, roots, parents)
 
 
 def coxeter_number(rs: RootSystem) -> int:

@@ -143,34 +143,31 @@ def R(k: int) -> SL2Module:
     return SL2Module({k: 1})
 
 
+def _add_tensor(table: dict[int, int], wa: int, wb: int, c: int) -> None:
+    """Add c * R(wa) x R(wb) to table, by Clebsch--Gordan."""
+    for w in range(abs(wa - wb), wa + wb + 1, 2):
+        table[w] = table.get(w, 0) + c
+
+
 def tensor(a: SL2Module, b: SL2Module) -> SL2Module:
     table: dict[int, int] = {}
     for wa, ma in a.mult.items():
         for wb, mb in b.mult.items():
-            for w in range(abs(wa - wb), wa + wb + 1, 2):
-                table[w] = table.get(w, 0) + ma * mb
+            _add_tensor(table, wa, wb, ma * mb)
     return SL2Module(table)
-
-
-def _square_single(w: int, offset: int) -> dict[int, int]:
-    return {k: 1 for k in range(2 * w - offset, -1, -4)}
 
 
 def _square(a: SL2Module, offset: int) -> SL2Module:
     """Common core of sym2 (offset 0) and alt2 (offset 2)."""
     table: dict[int, int] = {}
-
-    def bump(extra: Mapping[int, int], c: int):
-        for w, m in extra.items():
-            table[w] = table.get(w, 0) + c * m
-
     weights = list(a.mult.items())
     for idx, (w, m) in enumerate(weights):
-        bump(_square_single(w, offset), m)
+        for k in range(2 * w - offset, -1, -4):
+            table[k] = table.get(k, 0) + m
         if m > 1:  # mixed terms between equal copies
-            bump(tensor(R(w), R(w)).mult, m * (m - 1) // 2)
+            _add_tensor(table, w, w, m * (m - 1) // 2)
         for w2, m2 in weights[idx + 1:]:
-            bump(tensor(R(w), R(w2)).mult, m * m2)
+            _add_tensor(table, w, w2, m * m2)
     return SL2Module(table)
 
 

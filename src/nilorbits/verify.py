@@ -609,10 +609,14 @@ _RANK_BOUNDED = {"tables", "divisible", "balanced", "regular", "upsilon",
                  "meets", "collapsing"}
 
 
-def run_suite(name: str, max_rank: int = 8) -> VerificationReport:
+def run_suite(name: str, max_rank: int = 8, max_n: int = 9
+              ) -> VerificationReport:
+    """Run one suite; max_n bounds the oracle's matrix size only."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; available: "
                        f"{sorted(SUITES)}")
     if name in _RANK_BOUNDED:
         return SUITES[name](max_rank)
+    if name == "oracle":
+        return SUITES[name](max_n)
     return SUITES[name]()

@@ -1,13 +1,17 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
 from nilorbits.exceptional import ORBITS
-from nilorbits.orbits import (ClassicalOrbit, Partition, all_partitions,
+from nilorbits.orbits import (ClassicalOrbit, Partition,
+                              WeightedDynkinDiagram, all_partitions,
                               centralizer_dims, half_orbit, is_divisible,
                               is_almost_distinguished, is_distinguished,
                               is_even, reductive_type, valid_partitions,
                               wdd_from_partition)
-from nilorbits.roots import build_root_system
+from nilorbits.roots import all_simple_types, build_root_system
 
 partitions = st.lists(st.integers(1, 9), min_size=1, max_size=6).map(
     lambda parts: Partition(tuple(sorted(parts, reverse=True))))
@@ -86,6 +90,18 @@ def check_layer_dims(wdd, dim_centralizer):
     assert wdd.dim_centralizer_of_h() + 2 * sum(
         wdd.layer_dim(i) for i in range(1, top + 1)) == t.dimension
     assert wdd.layer_dim(0) + wdd.layer_dim(1) == dim_centralizer
+
+
+def test_height_counts_match_direct_count_to_rank_24():
+    rng = random.Random(20242)
+    for t in all_simple_types(24):
+        roots = build_root_system(t).positive_roots
+        for _ in range(20):
+            labels = tuple(rng.choice((0, 1, 2)) for _ in range(t.rank))
+            direct = Counter(sum(c * v for c, v in zip(r.coeffs, labels))
+                             for r in roots)
+            assert WeightedDynkinDiagram(t, labels).height_counts == direct, \
+                (str(t), labels)
 
 
 def test_layer_dims_classical():

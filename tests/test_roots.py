@@ -51,6 +51,23 @@ def test_closure_matches_closed_forms_to_rank_24():
             assert coxeter_number(rs) == c, str(t)
 
 
+def test_recorded_parents_to_rank_24():
+    """Each root is its recorded parent plus alpha_i, and the parent is a
+    positive root one height lower (simple roots: no parent)."""
+    for t in all_simple_types(24):
+        rs = build_root_system(t)
+        assert len(rs.parents) == len(rs.positive_roots), str(t)
+        for k, (root, (j, i)) in enumerate(zip(rs.positive_roots,
+                                               rs.parents)):
+            alpha = tuple(int(x == i) for x in range(t.rank))
+            if j is None:
+                assert root.coeffs == alpha, (str(t), root)
+                continue
+            parent = rs.positive_roots[j]
+            assert j < k and parent.height == root.height - 1, (str(t), root)
+            assert (parent + Root(alpha)).coeffs == root.coeffs, (str(t), root)
+
+
 def test_g2_closure():
     rs = build_root_system(SimpleType("G", 2))
     assert {r.coeffs for r in rs.positive_roots} == \
