@@ -166,14 +166,12 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    for flag, bound in (("--max-rank", args.max_rank),
-                        ("--max-n", args.max_n)):
-        if bound < 1:
-            raise UsageError(f"{flag} must be at least 1, got {bound}")
+    if args.max_rank < 1:
+        raise UsageError(f"--max-rank must be at least 1, got {args.max_rank}")
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     reports = []
     for name in names:
-        rep = run_suite(name, max_rank=args.max_rank, max_n=args.max_n)
+        rep = run_suite(name, max_rank=args.max_rank)
         reports.append(rep)
         if not args.json:
             print(rep.render(verbose=args.verbose))
@@ -226,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print passing cases too")
     p.add_argument("--max-rank", type=int, default=8,
                    help="rank bound for the classical sweeps")
-    p.add_argument("--max-n", type=int, default=9,
-                   help="matrix size bound for the oracle suite")
     p.set_defaults(func=cmd_verify)
     return ap
 

@@ -609,14 +609,10 @@ _RANK_BOUNDED = {"tables", "divisible", "balanced", "regular", "upsilon",
                  "meets", "collapsing"}
 
 
-def run_suite(name: str, max_rank: int = 8, max_n: int = 9
-              ) -> VerificationReport:
-    """Run one suite; max_n bounds the oracle's matrix size only."""
+def run_suite(name: str, max_rank: int = 8) -> VerificationReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; available: "
                        f"{sorted(SUITES)}")
     if name in _RANK_BOUNDED:
         return SUITES[name](max_rank)
-    if name == "oracle":
-        return SUITES[name](max_n)
     return SUITES[name]()

@@ -143,20 +143,12 @@ def test_verify_empty_suite_fails(capsys):
     assert json.loads(out)[0]["total"] == 0
 
 
-def test_verify_max_n_raises_the_oracle_bound(capsys):
-    code, out, _ = run(capsys, "--json", "verify", "--suite", "oracle",
-                       "--max-n", "10")
-    assert code == 0
-    ids = [c["id"] for c in json.loads(out)[0]["cases"]]
-    assert any(i.startswith("grid A9/") for i in ids)
-
-
-def test_verify_bounds_below_1_exit_2(capsys):
-    for argv in (["--max-rank", "0"], ["--max-rank", "-3", "--suite", "kappa"],
-                 ["--max-n", "0", "--suite", "oracle"]):
+def test_verify_max_rank_below_1_exits_2(capsys):
+    for argv in (["--max-rank", "0"],
+                 ["--max-rank", "-3", "--suite", "kappa"]):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and out == "", argv
-        assert f"{argv[0]} must be at least 1" in err, argv
+        assert "--max-rank must be at least 1" in err, argv
 
 
 def test_usage_errors_exit_2(capsys):
