@@ -11,6 +11,7 @@ identify the classes of the derived involutions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from . import exceptional as exc
@@ -174,8 +175,10 @@ def decompose_exceptional(pair: SymmetricPair,
                              orbit_label=rec.bala_carter_label)
 
 
+@lru_cache(maxsize=None)
 def decompose(pair: SymmetricPair) -> PairDecomposition:
-    """Decomposition at an element regular in g0."""
+    """Decomposition at an element regular in g0, once per pair and
+    process."""
     if pair.g.ambient is None:
         return decompose_exceptional(pair)
     return decompose_classical(pair)
@@ -313,6 +316,7 @@ class UpsilonResult:
                 "diff_cross": self.diff_cross}
 
 
+@lru_cache(maxsize=None)
 def upsilon(pd: PairDecomposition) -> UpsilonResult:
     """Identify the derived involution classes from the signed module
     counts.

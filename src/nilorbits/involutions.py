@@ -80,7 +80,7 @@ class SatakeDiagram:
             if i == j or i in self.black or j in self.black:
                 raise ValueError("arrows must join distinct white nodes")
 
-    @property
+    @cached_property
     def ibn(self) -> bool:
         adj = self.type.adjacency()
         return all(not (adj[i] & self.black) for i in self.black)

@@ -175,7 +175,7 @@ class Root:
     def __post_init__(self):
         if not any(self.coeffs):
             raise ValueError("the zero vector is not a root")
-        if any(c > 0 for c in self.coeffs) and any(c < 0 for c in self.coeffs):
+        if min(self.coeffs) < 0 < max(self.coeffs):
             raise ValueError("root coefficients must not mix signs")
 
     @property
@@ -260,42 +260,56 @@ class RootSystem:
 
 @lru_cache(maxsize=None)
 def build_root_system(t: SimpleType) -> RootSystem:
-    """Close the simple roots under root addition.
+    """Close the simple roots under root addition, one height at a time.
 
-    A positive root gamma is extended by alpha_i whenever the alpha_i-string
-    through gamma does not stop, i.e. q = p - <gamma, alpha_i^vee> > 0 where
-    p is the largest k with gamma - k*alpha_i still a root.
+    gamma + alpha_i is a root iff q = p - <gamma, alpha_i^vee> > 0, where p
+    is the largest k with gamma - k*alpha_i still a root.  Each root of the
+    current height carries its nonzero pairings <gamma, alpha_j^vee> and
+    its nonzero p_j.  A child gamma + alpha_i takes its pairings from
+    gamma's plus Cartan column i, and p_i(gamma + alpha_i) = p_i(gamma) + 1
+    is recorded on every edge that reaches it.  An index with pairing and
+    p both zero has q = 0, so only the other indices are tried.
     """
     n = t.rank
-    # nonzero Cartan entries of row i: <gamma, alpha_i^vee> is sparse
-    rows = [[(j, x) for j, x in enumerate(row) if x]
-            for row in t.cartan_matrix()]
+    a = t.cartan_matrix()
+    # nonzero entries of Cartan column i: <alpha_i, alpha_j^vee> = a[j][i]
+    cols = [[(j, a[j][i]) for j in range(n) if a[j][i]] for i in range(n)]
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     # root -> (parent root, i) with root = parent + alpha_i
     known: dict[tuple[int, ...], tuple[tuple[int, ...] | None, int]] = {
         s: (None, i) for i, s in enumerate(simple)}
-    layer = list(simple)
+    # per root of the current and next height: {j: <root, alpha_j^vee>} and
+    # {j: p_j(root)}, nonzero entries only
+    pairings = {s: dict(col) for s, col in zip(simple, cols)}
+    strings: dict[tuple[int, ...], dict[int, int]] = {s: {} for s in simple}
+    order: list[tuple[int, ...]] = []      # by height, then coefficients
+    layer = sorted(simple)
     while layer:
+        order += layer
         new_layer = []
         for g in layer:
-            for i, row in enumerate(rows):
-                pairing = 0
-                for j, x in row:
-                    pairing += g[j] * x
-                # walk down the string only until p > pairing is decided;
-                # roots below g stay positive, so coordinate i stays >= 0
-                gi = g[i]
-                p = 0
-                while p <= pairing and p < gi \
-                        and g[:i] + (gi - p - 1,) + g[i + 1:] in known:
-                    p += 1
-                if p > pairing:
-                    up = g[:i] + (gi + 1,) + g[i + 1:]
-                    if up not in known:
-                        known[up] = (g, i)
-                        new_layer.append(up)
-        layer = new_layer
-    order = sorted(known, key=lambda c: (sum(c), c))
+            pg = pairings.pop(g)
+            sg = strings.pop(g)
+            for i in pg.keys() | sg.keys():
+                p = sg.get(i, 0)
+                if p <= pg.get(i, 0):
+                    continue
+                up = g[:i] + (g[i] + 1,) + g[i + 1:]
+                if up in known:
+                    strings[up][i] = p + 1
+                    continue
+                known[up] = (g, i)
+                new_layer.append(up)
+                pu = dict(pg)
+                for j, x in cols[i]:
+                    x += pu.get(j, 0)
+                    if x:
+                        pu[j] = x
+                    else:
+                        del pu[j]
+                pairings[up] = pu
+                strings[up] = {i: p + 1}
+        layer = sorted(new_layer)
     index = {c: k for k, c in enumerate(order)}
     roots = tuple(Root(c) for c in order)
     if len(roots) != t.num_positive_roots:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Mapping
+from types import MappingProxyType
 
 
 class NegativeMultiplicityError(ValueError):
@@ -19,7 +20,12 @@ class NegativeMultiplicityError(ValueError):
 
 
 class SL2Module:
-    """An isomorphism class of finite-dimensional sl2-representations."""
+    """An isomorphism class of finite-dimensional sl2-representations.
+
+    ``mult`` maps each highest weight to its multiplicity, in increasing
+    weight order.  It is a read-only view: modules are shared through the
+    per-process caches of ``gradings``, so none may change in place.
+    """
 
     __slots__ = ("mult",)
 
@@ -39,7 +45,8 @@ class SL2Module:
                     f"multiplicity of R{w} is {m}")
             if m == 0:
                 del table[w]
-        object.__setattr__(self, "mult", dict(sorted(table.items())))
+        object.__setattr__(self, "mult",
+                           MappingProxyType(dict(sorted(table.items()))))
 
     # -- construction helpers ------------------------------------------------
 

@@ -25,7 +25,7 @@ from .orbits import (ClassicalOrbit, Partition, all_partitions,
 from .oracle import (centralizer_dim, ker_ad_squared, oracle_grid,
                      sp_half_partition, triple_from_partition)
 from .roots import (SimpleType, all_simple_types, build_root_system,
-                    kappa_direct, kappa_root_count)
+                    coxeter_number, kappa_direct, kappa_root_count)
 from .sl2 import SL2Module
 
 
@@ -373,7 +373,7 @@ def suite_regular(max_rank: int = 8) -> VerificationReport:
             rep.add(f"{cid} nil equality", "equality forces g0 semisimple",
                     True, pair.g0_semisimple)
         # parity: even Coxeter number forces e even in g
-        c = build_root_system(pair.g).highest_root.height + 1
+        c = coxeter_number(build_root_system(pair.g))
         if c % 2 == 0:
             rep.add(f"{cid} parity", "even Coxeter number: e even", True,
                     pd.e_is_even)

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from nilorbits.gradings import (check_02, check_04, check_4k2,
@@ -11,6 +13,7 @@ from nilorbits.involutions import catalog, pair_by_descriptor
 from nilorbits.orbits import Partition
 from nilorbits.roots import SimpleType, all_simple_types
 from nilorbits.sl2 import SL2Module
+from nilorbits.verify import swept_pairs
 
 
 def P(text):
@@ -182,3 +185,26 @@ def test_grid_render_contains_boxes():
     out = mg.render()
     assert "[4]" in out
     assert out.count("[4]") == 2
+
+
+def test_cached_decompose_matches_fresh():
+    # decompose and upsilon are memoized per process; the cached values
+    # must be what a fresh call computes, and one shared object per key
+    for p in swept_pairs(16):
+        pd, fresh = decompose(p), decompose.__wrapped__(p)
+        assert decompose(p) is pd, p
+        for f in fields(pd):
+            assert getattr(pd, f.name) == getattr(fresh, f.name), (p, f.name)
+        if not pd.e_is_even:
+            continue
+        u, fresh_u = upsilon(pd), upsilon.__wrapped__(pd)
+        assert upsilon(pd) is u, p
+        for f in fields(u):
+            assert getattr(u, f.name) == getattr(fresh_u, f.name), (p, f.name)
+
+
+def test_cached_decomposition_is_read_only():
+    pd = decompose(pair("D5", "gl5"))
+    with pytest.raises(TypeError):
+        pd.m0.mult[2] = 7
+    assert pd.m0 == SL2Module.parse("R0+R2+R4+R6+R8")

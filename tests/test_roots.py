@@ -68,6 +68,35 @@ def test_recorded_parents_to_rank_24():
             assert (parent + Root(alpha)).coeffs == root.coeffs, (str(t), root)
 
 
+def _string_walk_closure(t):
+    """Reference closure: extend gamma by alpha_i whenever the alpha_i-string
+    through gamma goes on, walking down the string to find p."""
+    n, a = t.rank, t.cartan_matrix()
+    simple = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    known, layer = set(simple), simple
+    while layer:
+        new_layer = []
+        for g in layer:
+            for i in range(n):
+                pairing = sum(g[j] * a[i][j] for j in range(n))
+                p = 0
+                while g[:i] + (g[i] - p - 1,) + g[i + 1:] in known:
+                    p += 1
+                up = g[:i] + (g[i] + 1,) + g[i + 1:]
+                if p - pairing > 0 and up not in known:
+                    known.add(up)
+                    new_layer.append(up)
+        layer = new_layer
+    return sorted(known, key=lambda c: (sum(c), c))
+
+
+def test_closure_matches_string_walk_to_rank_24():
+    for t in all_simple_types(24):
+        rs = build_root_system(t)
+        assert [r.coeffs for r in rs.positive_roots] == \
+            _string_walk_closure(t), str(t)
+
+
 def test_g2_closure():
     rs = build_root_system(SimpleType("G", 2))
     assert {r.coeffs for r in rs.positive_roots} == \

@@ -13,7 +13,7 @@ def test_rank_bounded_suites_ok_at_every_bound(bound):
     # bound the CLI accepts only because its expected set is fixed
     for name in sorted(_RANK_BOUNDED):
         rep = run_suite(name, max_rank=bound)
-        assert rep.ok, f"{name} at --max-rank {bound}\\n{rep.render()}"
+        assert rep.ok, f"{name} at --max-rank {bound}\n{rep.render()}"
 
 
 def test_no_bare_asserts_in_package():
