@@ -1,5 +1,5 @@
-"""Static data for exceptional types: selected nilpotent orbits and the
-sl2-decompositions of symmetric pairs at a regular element of the fixed
+"""Static data for exceptional types: selected nilpotent orbits, and for
+each symmetric pair the orbit of an element regular in the fixed
 subalgebra.
 
 The orbit records (weighted diagram, centraliser dimensions, reductive
@@ -8,17 +8,17 @@ Collingwood--McGovern, "Nilpotent orbits in semisimple Lie algebras", and
 the centraliser tables of Lawther--Testerman.  Node numbering follows
 `nilorbits.roots` (Bourbaki for E types; short roots first for F4/G2).
 
-Every record is internally consistent with the decomposition data: the
-diagram is the unique even dominant label vector whose grading layer
-dimensions match M0+M1, and dim/red/nil satisfy
+Every orbit record is consistent with the layers d(i) of its diagram:
     dim g^e = d(0),  dim red = d(0) - d(2),  nil = dim - red
-(tests regenerate all of this from the root systems).
+(tests regenerate this from the root systems, and check that each pair's
+diagram is the only even label vector whose layers match the published
+M0+M1).
 
 Extension format: add an `ExceptionalOrbit` to ORBITS keyed by
-(type string, Bala-Carter label), and, for symmetric pairs, an entry
-(type string, fixed-algebra descriptor) -> (M0, M1, orbit label) to
-PAIR_DECOMPOSITIONS with modules in the text form accepted by
-`SL2Module.parse`.
+(type string, Bala-Carter label), and, for a symmetric pair, an entry
+(type string, fixed-algebra descriptor) -> orbit label to PAIR_ORBITS.
+The sl2-modules M0 and M1 are not recorded: M0 is the principal module of
+g0 and M0+M1 is `wdd.module()` of the labelled orbit.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 from .orbits import WeightedDynkinDiagram
 from .roots import SimpleType
-from .sl2 import SL2Module
 
 
 @dataclass(frozen=True)
@@ -87,41 +86,20 @@ def exceptional_lookup(t: SimpleType, label: str) -> ExceptionalOrbit:
     return ORBITS[key]
 
 
-# ---------------------------------------------------------------------------
-# sl2-module structure of g0 and g1 for e regular in g0
-# ---------------------------------------------------------------------------
-
-# (ambient, fixed-algebra descriptor) -> (M0, M1, ambient orbit label).
-# M0 is the principal decomposition of g0 (one R(2e) per exponent e, plus
-# R0 for each central torus dimension); M1 is the complementary module.
-PAIR_DECOMPOSITIONS: dict[tuple[str, str], tuple[str, str, str]] = {
-    ("E6", "C4"):     ("R2+R6+R10+R14", "R4+R8+R10+R16", "E6(a1)"),
-    ("E6", "A5+A1"):  ("2*R2+R4+R6+R8+R10", "R2+2*R4+R6+R8+R10", "E6(a3)"),
-    ("E6", "F4"):     ("R2+R10+R14+R22", "R8+R16", "E6"),
-    ("E6", "D5+t1"):  ("R0+R2+R6+R8+R10+R14", "2*R4+2*R10", "D5"),
-    ("E7", "A7"):     ("R2+R4+R6+R8+R10+R12+R14",
-                       "R0+2*R4+2*R8+R10+R12+R16", "E6(a1)"),
-    ("E7", "D6+A1"):  ("2*R2+R6+2*R10+R14+R18",
-                       "R4+R6+R8+R10+R14+R16", "E7(a3)"),
-    ("E7", "E6+t1"):  ("R0+R2+R8+R10+R14+R16+R22",
-                       "2*R0+2*R8+2*R16", "E6"),
-    ("E8", "D8"):     ("R2+R6+R10+2*R14+R18+R22+R26",
-                       "R4+R8+R10+R14+R16+R18+R22+R28", "E8(a4)"),
-    ("E8", "E7+A1"):  ("2*R2+R10+R14+R18+R22+R26+R34",
-                       "R8+R10+R16+R18+R26+R28", "E8(b4)"),
-    ("F4", "C3+A1"):  ("2*R2+R6+R10", "R2+R4+R8+R10", "F4(a2)"),
-    ("F4", "B4"):     ("R2+R6+R10+R14", "R4+R10", "F4(a1)"),
-    ("G2", "A1+A1~"): ("2*R2", "R2+R4", "G2(a1)"),
+# (ambient, fixed-algebra descriptor) -> Bala-Carter label of the orbit
+# through an element regular in g0; `gradings.decompose_exceptional` derives
+# (M0, M1) from this diagram and the principal diagrams of g0's factors.
+PAIR_ORBITS: dict[tuple[str, str], str] = {
+    ("E6", "C4"): "E6(a1)",
+    ("E6", "A5+A1"): "E6(a3)",
+    ("E6", "F4"): "E6",
+    ("E6", "D5+t1"): "D5",
+    ("E7", "A7"): "E6(a1)",
+    ("E7", "D6+A1"): "E7(a3)",
+    ("E7", "E6+t1"): "E6",
+    ("E8", "D8"): "E8(a4)",
+    ("E8", "E7+A1"): "E8(b4)",
+    ("F4", "C3+A1"): "F4(a2)",
+    ("F4", "B4"): "F4(a1)",
+    ("G2", "A1+A1~"): "G2(a1)",
 }
-
-
-def pair_decomposition_data(t: SimpleType, descriptor: str
-                            ) -> tuple[SL2Module, SL2Module, ExceptionalOrbit]:
-    key = (str(t), descriptor)
-    if key not in PAIR_DECOMPOSITIONS:
-        known = sorted(d for (ts, d) in PAIR_DECOMPOSITIONS if ts == str(t))
-        raise KeyError(f"no decomposition record for {t}/{descriptor}; "
-                       f"known pairs: {known}")
-    m0s, m1s, label = PAIR_DECOMPOSITIONS[key]
-    return (SL2Module.parse(m0s), SL2Module.parse(m1s),
-            exceptional_lookup(t, label))

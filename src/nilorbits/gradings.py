@@ -114,8 +114,7 @@ class PairDecomposition:
 
     def ambient_wdd(self) -> WeightedDynkinDiagram:
         if self.pair.g.ambient is None:
-            rec = exc.exceptional_lookup(self.pair.g, self.orbit_label)
-            return rec.wdd
+            return exc.exceptional_lookup(self.pair.g, self.orbit_label).wdd
         return wdd_from_partition(self.ambient_orbit())
 
 
@@ -163,16 +162,18 @@ def decompose_classical(pair: SymmetricPair,
     return PairDecomposition(pair, m0, m1, ambient_partition=lam)
 
 
-def decompose_exceptional(pair: SymmetricPair,
-                          orbit_label: str = "regular") -> PairDecomposition:
+def decompose_exceptional(pair: SymmetricPair) -> PairDecomposition:
+    """M0 is the principal module of g0 (n R0 for a torus t_n) and M0+M1
+    is g under the triple of the recorded orbit."""
     if pair.g.ambient is not None:
         raise ValueError(f"{pair} is classical; use decompose_classical")
-    if orbit_label != "regular":
-        raise KeyError("only decompositions at a regular element of g0 "
-                       "are recorded")
-    m0, m1, rec = exc.pair_decomposition_data(pair.g, pair.descriptor)
-    return PairDecomposition(pair, m0, m1,
-                             orbit_label=rec.bala_carter_label)
+    m0 = SL2Module()
+    for kind, n in pair.factors:  # principal diagram: every label 2
+        m0 = m0 + (n * R(0) if kind == "t" else WeightedDynkinDiagram(
+            SimpleType(kind[0], n), (2,) * n).module())
+    label = exc.PAIR_ORBITS[(str(pair.g), pair.descriptor)]
+    m1 = exc.exceptional_lookup(pair.g, label).wdd.module().subtract(m0)
+    return PairDecomposition(pair, m0, m1, orbit_label=label)
 
 
 @lru_cache(maxsize=None)
@@ -432,14 +433,5 @@ def d00_closed_form(ms: tuple[int, ...]) -> tuple[int, int]:
 def collapsing_defect(t: SimpleType) -> tuple[int, bool]:
     """(d, finite-to-one?) where d = dim g^{e} - 2 rank for e regular in
     the fixed algebra of the principal inner involution."""
-    pair = pi_involution(t)
-    if pair.g.ambient is None:
-        pd = decompose_exceptional(pair)
-        rec = exc.exceptional_lookup(t, pd.orbit_label)
-        dim_cent = rec.dim_centralizer
-    else:
-        from .orbits import centralizer_dims
-        dim_cent = centralizer_dims(
-            ClassicalOrbit(*t.ambient, regular_e_partition(pair)))[0]
-    d = dim_cent - 2 * t.rank
+    d = grading_grid(decompose(pi_involution(t))).dim_centralizer - 2 * t.rank
     return d, d == 0

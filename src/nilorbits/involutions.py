@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .roots import SimpleType
+from .roots import SimpleType, build_root_system
 
 Factor = tuple[str, int]
 
@@ -321,29 +321,18 @@ def maximal_rank(t: SimpleType) -> SymmetricPair:
     return hits[0]
 
 
-_PI_EXCEPTIONAL = {"E6": "A5+A1", "E7": "A7", "E8": "D8",
-                   "F4": "C3+A1", "G2": "A1+A1~"}
-
-
+@lru_cache(maxsize=None)
 def pi_involution(t: SimpleType) -> SymmetricPair:
-    """The inner class whose odd part contains a regular nilpotent element
-    (parity split of the principal grading)."""
-    fam, r = t.family, t.rank
-    if fam == "A":
-        n = r + 1
-        if n == 2:
-            return pair_by_descriptor(t, "so2")
-        k = n // 2
-        return pair_by_descriptor(t, f"gl{k}+gl{n - k}")
-    if fam == "B":
-        return pair_by_descriptor(t, f"so{r + 1}+so{r}")
-    if fam == "C":
-        return pair_by_descriptor(t, f"gl{r}")
-    if fam == "D":
-        if r % 2 == 0:
-            return pair_by_descriptor(t, f"so{r}+so{r}")
-        return pair_by_descriptor(t, f"so{r + 1}+so{r - 1}")
-    return pair_by_descriptor(t, _PI_EXCEPTIONAL[str(t)])
+    """The principal inner class: the parity split of the principal
+    grading, so dim g0 = rank + 2 #{positive roots of even height}.  Its
+    odd part contains a regular nilpotent element."""
+    heights = build_root_system(t).weighted_heights((1,) * t.rank)
+    dim_g0 = t.rank + 2 * sum(1 for h in heights if h % 2 == 0)
+    hits = [p for p in catalog(t) if p.inner and p.dim_g0 == dim_g0]
+    if len(hits) != 1:
+        raise RuntimeError(f"principal inner class of {t} not unique: "
+                           f"{[p.descriptor for p in hits]}")
+    return hits[0]
 
 
 def so_pair_ibn(n: int, m: int) -> bool:

@@ -9,12 +9,14 @@ and take successive differences (with the type-specific tail rule).
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
 from .involutions import factor_dim
 from .roots import SimpleType, build_root_system
+from .sl2 import SL2Module
 
 
 @dataclass(frozen=True)
@@ -34,7 +36,7 @@ class Partition:
     @staticmethod
     def parse(text: str) -> "Partition":
         inner = text.strip().strip("()[]")
-        parts = tuple(int(p) for p in inner.replace(" ", "").split(",") if p)
+        parts = tuple(int(p) for p in re.split(r"[\s,]+", inner) if p)
         return Partition(tuple(sorted(parts, reverse=True)))
 
     @property
@@ -169,6 +171,13 @@ class WeightedDynkinDiagram:
         if i == 0:
             return self.dim_centralizer_of_h()
         return self.height_counts.get(abs(i), 0)
+
+    def module(self) -> SL2Module:
+        """g under a triple with this characteristic: R(w) with
+        multiplicity dim g(w) - dim g(w+2)."""
+        top = max(self.height_counts, default=0)
+        return SL2Module({w: self.layer_dim(w) - self.layer_dim(w + 2)
+                          for w in range(top + 1)})
 
     def render(self) -> str:
         return render_labelled_diagram(self.type, self.labels)

@@ -45,6 +45,12 @@ def test_wdd_command(capsys):
     assert run(capsys, "orbit", "C4", "(4,4)") == (0, out, "")
 
 
+def test_wdd_space_separated_partition(capsys):
+    code, out, err = run(capsys, "wdd", "sl4", "(3,1)")
+    assert code == 0 and "(3,1)" in out
+    assert run(capsys, "wdd", "sl4", "(3 1)") == (code, out, err)
+
+
 def test_wdd_json_roundtrip(capsys):
     code, out, _ = run(capsys, "--json", "wdd", "A4", "(3,2)")
     assert code == 0

@@ -203,6 +203,14 @@ def test_cached_decompose_matches_fresh():
             assert getattr(u, f.name) == getattr(fresh_u, f.name), (p, f.name)
 
 
+def test_ambient_module_matches_pair_modules():
+    # module calculus against root heights: g under the triple of the
+    # ambient diagram is M0 + M1
+    for p in swept_pairs(8, include_exceptional=False):
+        pd = decompose(p)
+        assert pd.ambient_wdd().module() == pd.m0 + pd.m1, p
+
+
 def test_cached_decomposition_is_read_only():
     pd = decompose(pair("D5", "gl5"))
     with pytest.raises(TypeError):

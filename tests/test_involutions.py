@@ -1,5 +1,6 @@
 import pytest
 
+from nilorbits import involutions
 from nilorbits.involutions import (SatakeDiagram, catalog, ibn_signature,
                                    identify_ibn, maximal_rank,
                                    max_orbit_meeting_g1, orbit_meets_g1,
@@ -51,6 +52,35 @@ def test_pi_involutions():
         pi = pi_involution(t)
         assert pi.inner
         assert not pi.satake.black
+
+
+def closed_form_pi(t: SimpleType) -> str:
+    """The principal inner class by the family rules of the tables."""
+    fam, r = t.family, t.rank
+    if fam == "A":
+        n = r + 1
+        return "so2" if n == 2 else f"gl{n // 2}+gl{n - n // 2}"
+    if fam == "B":
+        return f"so{r + 1}+so{r}"
+    if fam == "C":
+        return f"gl{r}"
+    if fam == "D":
+        return f"so{r}+so{r}" if r % 2 == 0 else f"so{r + 1}+so{r - 1}"
+    return {"E6": "A5+A1", "E7": "A7", "E8": "D8", "F4": "C3+A1",
+            "G2": "A1+A1~"}[str(t)]
+
+
+def test_pi_involution_matches_closed_form_to_rank_40():
+    for t in all_simple_types(40):
+        assert pi_involution(t).descriptor == closed_form_pi(t), str(t)
+
+
+def test_pi_involution_must_be_unique(monkeypatch):
+    t = SimpleType("C", 4)
+    twice = catalog(t) + (pi_involution(t),)
+    monkeypatch.setattr(involutions, "catalog", lambda _: twice)
+    with pytest.raises(RuntimeError, match="not unique"):
+        pi_involution.__wrapped__(t)
 
 
 def test_ibn_signature_formula():

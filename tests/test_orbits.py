@@ -26,6 +26,10 @@ def test_dual_is_involutive(lam):
 def test_partition_parsing():
     assert Partition.parse("(5,3,1)").parts == (5, 3, 1)
     assert Partition.parse("5, 1, 3").parts == (5, 3, 1)
+    # whitespace separates parts; it never joins digits
+    assert Partition.parse("(3 1)").parts == (3, 1)
+    assert Partition.parse("(1 3)").parts == (3, 1)
+    assert Partition.parse(" (2\t2 , 1) ").parts == (2, 2, 1)
     with pytest.raises(ValueError):
         Partition((1, 2))
     with pytest.raises(ValueError):
