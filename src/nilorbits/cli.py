@@ -20,7 +20,8 @@ from .involutions import catalog, pair_by_descriptor
 from .orbits import (ClassicalOrbit, Partition, centralizer_dims,
                      is_divisible, is_even, half_orbit, reductive_type,
                      wdd_from_partition)
-from .oracle import centralizer_dim, ker_ad_squared, triple_from_partition
+from .oracle import (centralizer_dim, ker_ad_squared, oracle_sizes,
+                     triple_from_partition)
 from .roots import SimpleType
 from .verify import SUITES, run_suite
 
@@ -29,14 +30,19 @@ class UsageError(ValueError):
     pass
 
 
+def _matrix_name(text: str) -> tuple[str, int] | None:
+    """(kind, n) of a matrix name such as 'sl6', 'so10', 'sp8'; None for
+    anything else."""
+    kind, size = text[:2].lower(), text[2:]
+    return (kind, int(size)) if kind in ("sl", "so", "sp") and \
+        size.isdigit() else None
+
+
 def parse_ambient(text: str) -> tuple[SimpleType, tuple[str, int] | None]:
     """Accept 'E6', 'B4', 'sl6', 'so10', 'sp8'."""
     text = text.strip()
-    kind, size = text[:2].lower(), text[2:]
-    if kind in ("sl", "so", "sp") and size.isdigit():
-        t = SimpleType.of_ambient(kind, int(size))
-    else:
-        t = SimpleType.parse(text)
+    amb = _matrix_name(text)
+    t = SimpleType.of_ambient(*amb) if amb else SimpleType.parse(text)
     return t, t.ambient
 
 
@@ -148,10 +154,15 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    t, amb = parse_ambient(args.type)
+    # the oracle needs only (kind, n): so3, so4, so6 and sp2 are taken by
+    # matrix size, although SimpleType rejects B1, D2, D3 and C1
+    text = args.type.strip()
+    amb = _matrix_name(text) or SimpleType.parse(text).ambient
     if amb is None:
         raise UsageError("the matrix oracle covers classical types only")
     kind, n = amb
+    if n not in oracle_sizes(n)[kind]:
+        raise UsageError(f"the matrix oracle does not realise {kind}{n}")
     orbit = ClassicalOrbit(kind, n, Partition.parse(args.partition))
     triple = triple_from_partition(kind, n, orbit.partition)
     rel = triple.check_relations()

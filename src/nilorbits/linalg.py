@@ -1,15 +1,21 @@
 """Exact linear algebra over the integers and rationals.
 
-Everything operates on dense lists of lists.  Rank uses fraction-free
-(Bareiss) elimination for integer input, so no floating point is involved
-anywhere.
+Products and commutators work on dense lists of lists.  rank and
+eigenspace_dim take a list of integer rows, each a dense list or a sparse
+{column: value} dict; they and solve_in_span share one elimination, which
+reduces sparse integer rows one at a time against an echelon set of
+primitive rows.  No floating point, modular or probabilistic step is
+involved anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, inf
 
 Matrix = list[list[int]]
+SparseRow = dict[int, int]  # column -> nonzero value
+Row = list[int] | SparseRow
 
 
 def zeros(r: int, c: int) -> Matrix:
@@ -49,99 +55,100 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
-def is_zero(a: Matrix) -> bool:
-    return all(not any(row) for row in a)
+def _eliminate(rows: list[SparseRow], echelon: dict[int, SparseRow],
+               stop: float = inf) -> SparseRow:
+    """Reduce the rows one at a time against the echelon, a set of
+    primitive integer rows keyed by leading column, and return the last
+    row as reduced.  The rows are fresh dicts of nonzero entries and are
+    changed in place.
 
-
-def rank(matrix: list[list[int]]) -> int:
-    """Rank by fraction-free (Bareiss) elimination (exact).
-
-    Every row below the pivot is updated at every step, so each entry stays
-    a minor of the input and the division by the previous pivot is exact
-    (Sylvester's identity); a remainder raises instead of being floored.
+    While the leading column of a row holds a pivot row p and is below
+    stop, the row becomes a*row - b*p, where a and b are the two leading
+    entries over their gcd, so every step is exact in Python ints.  A row
+    that reaches a free leading column below stop is divided by its content
+    (the gcd of its entries), so that pivot entries do not compound, and
+    joins the echelon.
     """
-    m = [row[:] for row in matrix if any(row)]
-    if not m:
-        return 0
-    cols = len(m[0])
-    r = 0
-    prev = 1
-    for c in range(cols):
-        piv = None
-        best = None
-        for i in range(r, len(m)):
-            v = m[i][c]
-            if v:
-                score = (abs(v) != 1, abs(v))
-                if best is None or score < best:
-                    best, piv = score, i
-                    if score == (False, 1):
-                        break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        row_r = m[r]
-        pivot = row_r[c]
-        for i in range(r + 1, len(m)):
-            row_i = m[i]
-            vic = row_i[c]
-            if not vic and pivot == prev:
-                continue  # the step leaves this row as it is
-            for j in range(c, cols):
-                q, rem = divmod(row_i[j] * pivot - vic * row_r[j], prev)
-                if rem:
-                    raise ArithmeticError("inexact Bareiss step")
-                row_i[j] = q
-        prev = pivot
-        r += 1
-        if r == len(m):
-            break
-        m = m[:r] + [row for row in m[r:] if any(row)]
-        if r == len(m):
-            break
+    r: SparseRow = {}
+    for r in rows:
+        while r:
+            lead = min(r)
+            piv = echelon.get(lead)  # no pivot leads at or past stop
+            if piv is None:
+                if lead < stop:
+                    g = gcd(*r.values())
+                    echelon[lead] = {j: v // g for j, v in r.items()} \
+                        if g != 1 else r
+                break
+            a, b = piv[lead], r[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                r = {j: a * v for j, v in r.items()}
+            for j, v in piv.items():
+                x = r.get(j, 0) - b * v
+                if x:
+                    r[j] = x
+                else:
+                    del r[j]
     return r
 
 
-def eigenspace_dim(matrix: list[list[int]], eigenvalue: int) -> int:
-    """dim ker(matrix - eigenvalue) for a square integer matrix."""
-    n = len(matrix)
-    shifted = [[matrix[i][j] - (eigenvalue if i == j else 0)
-                for j in range(n)] for i in range(n)]
-    return n - rank(shifted)
+def rank(rows: list[Row]) -> int:
+    """Exact rank of a list of integer rows, each a dense list or a sparse
+    {column: value} dict: the size of the echelon the rows reduce to."""
+    width = None
+    sparse = []
+    for row in rows:
+        if isinstance(row, dict):
+            sparse.append({j: v for j, v in row.items() if v})
+            continue
+        if len(row) != width:
+            if width is not None:
+                raise ValueError("rows of the matrix differ in length")
+            width = len(row)
+        sparse.append({j: v for j, v in enumerate(row) if v})
+    echelon: dict[int, SparseRow] = {}
+    _eliminate(sparse, echelon)
+    return len(echelon)
+
+
+def eigenspace_dim(matrix: list[Row], eigenvalue: int) -> int:
+    """dim ker(matrix - eigenvalue) for a square integer matrix given as
+    rows (dense lists or {column: value} dicts, as for rank)."""
+    shifted = []
+    for i, row in enumerate(matrix):
+        if isinstance(row, dict):
+            row = {**row, i: row.get(i, 0) - eigenvalue}
+        else:
+            row = row[:i] + [row[i] - eigenvalue] + row[i + 1:]
+        shifted.append(row)
+    return len(matrix) - rank(shifted)
 
 
 def solve_in_span(basis: list[Matrix], target: Matrix) -> list[Fraction]:
     """Coordinates of target in the span of basis (exact; raises if not
-    in the span)."""
-    rows = len(target)
+    in the span).
+
+    Each basis matrix is flattened into a row tagged with a unit in its own
+    column past the entries, so a row's tags record the combination of the
+    basis that it is.  The target, tagged with a unit in one more column,
+    is reduced against them until no entry is left: then its tags read
+    a*target + sum c_k b_k = 0.  A dependent basis matrix reduces to tags
+    only and stays out of the echelon, so its coordinate is 0.
+    """
     cols = len(target[0])
-    system = []
-    for i in range(rows):
-        for j in range(cols):
-            system.append([Fraction(b[i][j]) for b in basis]
-                          + [Fraction(target[i][j])])
-    n = len(basis)
-    # rational Gauss with partial pivoting by first nonzero
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(system)) if system[i][c]), None)
-        if piv is None:
-            continue
-        system[r], system[piv] = system[piv], system[r]
-        pr = system[r]
-        inv = 1 / pr[c]
-        system[r] = [v * inv for v in pr]
-        for i in range(len(system)):
-            if i != r and system[i][c]:
-                f = system[i][c]
-                system[i] = [a - f * b for a, b in zip(system[i], system[r])]
-        pivots.append(c)
-        r += 1
-    sol = [Fraction(0)] * n
-    for row_idx, c in enumerate(pivots):
-        sol[c] = system[row_idx][n]
-    for i in range(r, len(system)):
-        if system[i][n]:
-            raise ValueError("target is not in the span of the basis")
-    return sol
+    size, m = len(target) * cols, len(basis)
+
+    def flat(x: Matrix, tag: int) -> SparseRow:
+        r = {i * cols + j: v for i, row in enumerate(x)
+             for j, v in enumerate(row) if v}
+        r[size + tag] = 1
+        return r
+
+    echelon: dict[int, SparseRow] = {}
+    _eliminate([flat(b, k) for k, b in enumerate(basis)], echelon, size)
+    t = _eliminate([flat(target, m)], echelon, size)
+    if min(t) < size:
+        raise ValueError("target is not in the span of the basis")
+    return [Fraction(-t.get(size + k, 0), t[size + m]) for k in range(m)]

@@ -5,7 +5,9 @@ This is the independent verification path: sl_n is realised as traceless
 matrices, so_n/sp_n as {X : X^T B + B X = 0} for an explicit integer form
 B, nilpotent triples are built block-by-block from Jordan strings, and
 every dimension (centralisers, kernels, grading layers) is recomputed by
-exact rank arithmetic, one h-weight block at a time.  Nothing here
+exact rank arithmetic, one h-weight block at a time.  ad e and sigma are
+never built as dense matrices: each coordinate's image is one sparse
+integer row, and linalg.rank ranks the rows of a block.  Nothing here
 consults the partition formulas or the sl2-module calculus, so agreement
 between the two paths is a real check.
 
@@ -25,9 +27,16 @@ from functools import cached_property
 
 from .gradings import MixedGrading, factor_jordan_types
 from .involutions import SymmetricPair
-from .linalg import (Matrix, commutator, eigenspace_dim, is_zero, mat_mul,
-                     mat_scale, mat_sub, rank, solve_in_span, transpose, zeros)
+from .linalg import (Matrix, SparseRow, commutator, eigenspace_dim, mat_mul,
+                     mat_scale, rank, solve_in_span, transpose, zeros)
 from .orbits import ClassicalOrbit, Partition, is_divisible, valid_partitions
+
+
+def oracle_sizes(max_n: int) -> dict[str, range]:
+    """The matrix sizes up to max_n of the ambients the oracle realises:
+    sl_n for n >= 2, so_n for n >= 3 and sp_n for even n >= 2."""
+    return {"sl": range(2, max_n + 1), "so": range(3, max_n + 1),
+            "sp": range(2, max_n + 1, 2)}
 
 
 # ---------------------------------------------------------------------------
@@ -44,16 +53,12 @@ class SL2Triple:
     form: Matrix | None  # None for sl
 
     def check_relations(self) -> bool:
-        ok = (is_zero(mat_sub(commutator(self.h, self.e),
-                              mat_scale(self.e, 2)))
-              and is_zero(mat_sub(commutator(self.e, self.f), self.h))
-              and is_zero(mat_sub(commutator(self.h, self.f),
-                                  mat_scale(self.f, -2))))
-        if ok and self.form is not None:
-            for x in (self.e, self.h, self.f):
-                ok = ok and is_zero(mat_sub(
-                    mat_mul(transpose(x), self.form),
-                    mat_scale(mat_mul(self.form, x), -1)))
+        e, h, f, form = self.e, self.h, self.f, self.form
+        ok = (commutator(h, e) == mat_scale(e, 2) and commutator(e, f) == h
+              and commutator(h, f) == mat_scale(f, -2))
+        if ok and form is not None:
+            ok = all(mat_mul(transpose(x), form) ==
+                     mat_scale(mat_mul(form, x), -1) for x in (e, h, f))
         return ok
 
     @property
@@ -70,24 +75,60 @@ class SL2Triple:
             raise ValueError("the form is not a signed permutation matrix")
         return [r[0] for r in rows]
 
+    @cached_property
+    def ad_blocks(self) -> tuple[int, dict[int, list[SparseRow]]]:
+        """The number of coordinates and, for each h-weight w, the images
+        under ad e of the coordinates of weight w, one sparse row each over
+        the coordinates of weight w + 2 (see _weight_blocks).
 
-def _string_block(p: int) -> tuple[Matrix, Matrix, Matrix]:
-    e = zeros(p, p)
-    f = zeros(p, p)
-    h = zeros(p, p)
+        ad e is X -> L X + X R: on gl_n [e, E_ij] with L = e, R = -e; on
+        so/sp, A -> -(e^T A + A e) independently of B, read off the upper
+        triangle.  e is a sum of Jordan strings, so each image has a few
+        entries, and e of h-weight 2 puts them all in weight w + 2.
+        """
+        kind, n, h = self.kind, self.n, self.h_diagonal
+        blocks = _weight_blocks(kind, h)
+        pos: list[int | None] = [None] * (n * n)  # (i, j) at i * n + j
+        for cs in blocks.values():
+            for k, (i, j) in enumerate(cs):
+                pos[i * n + j] = k
+        e_rows = [[(c, v) for c, v in enumerate(row) if v] for row in self.e]
+        if any(h[r] - h[c] != 2 for r, row in enumerate(e_rows)
+               for c, _ in row):
+            raise RuntimeError("e is not of h-weight 2")
+        # the nonzeros of column a of L as (row * n, value)
+        if kind == "sl":
+            l_cols = [[(r * n, v) for r, v in enumerate(col) if v]
+                      for col in zip(*self.e)]
+        else:                        # the columns of -e^T are the rows of -e
+            l_cols = [[(c * n, -v) for c, v in row] for row in e_rows]
+        r_rows = [[(c, -v) for c, v in row] for row in e_rows]
+        sign = -1 if kind == "so" else 1
+        ad: dict[int, list[SparseRow]] = {}
+        for w, cs in blocks.items():
+            rows = []
+            for i, j in cs:
+                row: SparseRow = {}
+                for a, b, s in ((i, j, 1),) if kind == "sl" or i == j else \
+                        ((i, j, 1), (j, i, sign)):  # A = E_ij +- E_ji
+                    for rn, v in l_cols[a]:
+                        k = pos[rn + b]
+                        if k is not None:
+                            row[k] = row.get(k, 0) + s * v
+                    for c, v in r_rows[b]:
+                        k = pos[a * n + c]
+                        if k is not None:
+                            row[k] = row.get(k, 0) + s * v
+                rows.append({k: v for k, v in row.items() if v})
+            ad[w] = rows
+        return sum(map(len, blocks.values())), ad
+
+
+def _put_string_form(form: Matrix, r0: int, c0: int, p: int, sign: int):
+    """sign * C at (r0, c0), where C[i][p-1-i] = (-1)^i is the form on a
+    length-p string."""
     for i in range(p):
-        h[i][i] = p - 1 - 2 * i
-    for i in range(p - 1):
-        e[i][i + 1] = 1
-        f[i + 1][i] = (i + 1) * (p - 1 - i)
-    return e, h, f
-
-
-def _string_form(p: int) -> Matrix:
-    c = zeros(p, p)
-    for i in range(p):
-        c[i][p - 1 - i] = (-1) ** i
-    return c
+        form[r0 + i][c0 + p - 1 - i] = sign * (-1) ** i
 
 
 def _embed(dst: Matrix, block: Matrix, r0: int, c0: int):
@@ -107,20 +148,21 @@ def triple_from_partition(kind: str, n: int,
     pos = 0
     pending: dict[int, int] = {}  # part -> offset of an unpaired block
     for p in lam.parts:
-        eb, hb, fb = _string_block(p)
-        _embed(e, eb, pos, pos)
-        _embed(h, hb, pos, pos)
-        _embed(f, fb, pos, pos)
+        for i in range(p):                   # a Jordan string at pos
+            h[pos + i][pos + i] = p - 1 - 2 * i
+            if i:
+                e[pos + i - 1][pos + i] = 1
+                f[pos + i][pos + i - 1] = i * (p - i)
         if kind != "sl":
             needs_pair = (p % 2 == 0) if kind == "so" else (p % 2 == 1)
             if not needs_pair:
-                _embed(form, _string_form(p), pos, pos)
+                _put_string_form(form, pos, pos, p, 1)
             elif p in pending:
                 q = pending.pop(p)
-                c = _string_form(p)
-                _embed(form, c, q, pos)
+                _put_string_form(form, q, pos, p, 1)
+                # +- C^T, and C^T[i][p-1-i] = (-1)^(p-1-i)
                 sign = 1 if kind == "so" else -1
-                _embed(form, mat_scale(transpose(c), sign), pos, q)
+                _put_string_form(form, pos, q, p, sign * (-1) ** (p - 1))
             else:
                 pending[p] = pos
         pos += p
@@ -159,55 +201,33 @@ def _weight_blocks(kind: str, h: list[int]
     return blocks
 
 
-def _ad_blocks(triple: SL2Triple) -> tuple[int, dict[int, Matrix]]:
-    """The number of coordinates and, for each h-weight w, the matrix of
-    ad e from the coordinates of weight w to those of weight w + 2.
-
-    ad e is X -> L X + X R: on gl_n [e, E_ij] with L = e, R = -e; on so/sp,
-    A -> -(e^T A + A e) independently of B, read off the upper triangle.
-    e is a sum of Jordan strings, so each column has a few nonzeros.
-    """
-    kind, e = triple.kind, triple.e
-    blocks = _weight_blocks(kind, triple.h_diagonal)
-    where = {rc: (w, k) for w, cs in blocks.items() for k, rc in enumerate(cs)}
-    left = e if kind == "sl" else mat_scale(transpose(e), -1)
-    l_cols = [[(r, v) for r, v in enumerate(col) if v] for col in zip(*left)]
-    r_rows = [[(c, -v) for c, v in enumerate(row) if v] for row in e]
-    sign = -1 if kind == "so" else 1
-    ad: dict[int, Matrix] = {}
-    for w, cs in blocks.items():
-        m = zeros(len(blocks.get(w + 2, ())), len(cs))
-        for col, (i, j) in enumerate(cs):
-            terms = [(i, j, 1)] if kind == "sl" or i == j else \
-                [(i, j, 1), (j, i, sign)]  # A = E_ij +- E_ji
-            img: Entries = {}
-            for a, b, s in terms:
-                for rc, v in [((r, b), v) for r, v in l_cols[a]] + \
-                        [((a, c), v) for c, v in r_rows[b]]:
-                    img[rc] = img.get(rc, 0) + s * v
-            for rc, v in img.items():
-                if v and rc in where:
-                    w2, row = where[rc]
-                    if w2 != w + 2:
-                        raise RuntimeError(f"ad e maps h-weight {w} to {w2}")
-                    m[row][col] = v
-        ad[w] = m
-    return len(where), ad
+def _compose(first: list[SparseRow], then: list[SparseRow]) -> list[SparseRow]:
+    """Sparse rows of images taken on through a second map: row k of then
+    is the image of coordinate k."""
+    out = []
+    for row in first:
+        img: SparseRow = {}
+        for k, v in row.items():
+            for j, u in then[k].items():
+                img[j] = img.get(j, 0) + v * u
+        out.append({j: x for j, x in img.items() if x})
+    return out
 
 
 def centralizer_dim(triple: SL2Triple) -> int:
     """dim of the centraliser of e in the ambient algebra: the coordinates
     minus the exact rank of ad e, summed over h-weight blocks (on sl, one
     less for the identity of gl_n)."""
-    size, ad = _ad_blocks(triple)
-    return size - sum(rank(m) for m in ad.values()) - (triple.kind == "sl")
+    size, ad = triple.ad_blocks
+    return size - sum(rank(rows) for rows in ad.values()) - \
+        (triple.kind == "sl")
 
 
 def ker_ad_squared(triple: SL2Triple) -> int:
-    """dim ker (ad e)^2, from the ranks of the products g(w) -> g(w + 4)."""
-    size, ad = _ad_blocks(triple)
-    r = sum(rank(mat_mul(ad[w + 2], m))
-            for w, m in ad.items() if m and ad[w + 2])
+    """dim ker (ad e)^2, from the ranks of the composites g(w) -> g(w + 4)."""
+    size, ad = triple.ad_blocks
+    r = sum(rank(_compose(rows, ad[w + 2]))
+            for w, rows in ad.items() if ad.get(w + 2))
     return size - r - (triple.kind == "sl")
 
 
@@ -321,33 +341,37 @@ def _sigma_basis(rp: RealizedPair) -> dict[int, list[Entries]]:
     return out
 
 
-def _sigma_blocks(rp: RealizedPair) -> dict[int, Matrix]:
-    """The matrix of sigma on each h-weight block of the basis.
+def _sigma_blocks(rp: RealizedPair) -> dict[int, list[SparseRow]]:
+    """sigma on each h-weight block of the basis: the image of basis
+    matrix k as a sparse row of its coordinates (the transpose of the
+    matrix of sigma, which has the same eigenspace dimensions).
 
     sigma sends a basis matrix to +- a basis matrix, found by its entries;
     only the other images (the Cartan part of outer sl pairs) are solved
     for in the span of the block."""
     n = rp.triple.n
-    out: dict[int, Matrix] = {}
+    out: dict[int, list[SparseRow]] = {}
     for w, mats in _sigma_basis(rp).items():
         index = {}
         for k, x in enumerate(mats):
             index[frozenset(x.items())] = (k, 1)
             index[frozenset((rc, -v) for rc, v in x.items())] = (k, -1)
-        sig = zeros(len(mats), len(mats))
-        for col, x in enumerate(mats):
+        dense = None
+        rows = []
+        for x in mats:
             y = rp.sigma_entries(x)
             hit = index.get(frozenset(y.items()))
             if hit is not None:
-                sig[hit[0]][col] = hit[1]
+                rows.append({hit[0]: hit[1]})
                 continue
-            coords = solve_in_span([_dense(m, n) for m in mats], _dense(y, n))
-            for row, v in enumerate(coords):
+            dense = dense or [_dense(m, n) for m in mats]
+            coords = solve_in_span(dense, _dense(y, n))
+            for v in coords:
                 if v.denominator != 1:
                     raise RuntimeError(f"sigma has coordinate {v} on the "
                                        f"basis of h-weight {w}")
-                sig[row][col] = int(v)
-        out[w] = sig
+            rows.append({k: int(v) for k, v in enumerate(coords) if v})
+        out[w] = rows
     return out
 
 
@@ -359,9 +383,9 @@ def oracle_grid(pair: SymmetricPair,
     tr = rp.triple
     if not tr.check_relations():
         raise RuntimeError("triple relations failed")
-    if not is_zero(mat_sub(rp.sigma(tr.e), tr.e)):
+    if rp.sigma(tr.e) != tr.e:
         raise RuntimeError("e is not sigma-fixed")
-    if not is_zero(mat_sub(rp.sigma(tr.h), tr.h)):
+    if rp.sigma(tr.h) != tr.h:
         raise RuntimeError("h is not sigma-fixed")
     # split each h-weight block by the eigenvalues of sigma
     d: dict[tuple[int, int], int] = {}

@@ -23,7 +23,7 @@ from .orbits import (ClassicalOrbit, Partition, all_partitions,
                      centralizer_dims, half_orbit, is_divisible,
                      reductive_type, valid_partitions, wdd_from_partition)
 from .oracle import (centralizer_dim, ker_ad_squared, oracle_grid,
-                     sp_half_partition, triple_from_partition)
+                     oracle_sizes, sp_half_partition, triple_from_partition)
 from .roots import (SimpleType, all_simple_types, build_root_system,
                     coxeter_number, kappa_direct, kappa_root_count)
 from .sl2 import SL2Module
@@ -402,38 +402,34 @@ def suite_kappa(max_rank: int = 12) -> VerificationReport:
 
 def suite_oracle(max_n: int = 9) -> VerificationReport:
     rep = VerificationReport("oracle")
-    ranges = {"sl": range(2, max_n + 1), "so": range(3, max_n + 1),
-              "sp": range(2, max_n + 1, 2)}
-    for kind, ns in ranges.items():
+    # one triple per orbit, whose ad e blocks its z and kernel cases share;
+    # the cases are reported grouped by claim: z, then ker2, then sp half
+    z, ker2, sp_half = (VerificationReport("oracle") for _ in range(3))
+    for kind, ns in oracle_sizes(max_n).items():
         for n in ns:
             for o in valid_partitions(kind, n):
                 tr = triple_from_partition(kind, n, o.partition)
-                rep.add(f"z {o}", "formula = matrix rank",
-                        centralizer_dims(o)[0], centralizer_dim(tr))
-    for kind in ("sl", "so"):
-        for n in ranges[kind]:
-            for o in valid_partitions(kind, n):
+                z.add(f"z {o}", "formula = matrix rank",
+                      centralizer_dims(o)[0], centralizer_dim(tr))
                 if not is_divisible(o):
                     continue
-                tr = triple_from_partition(kind, n, o.partition)
+                if kind == "sp":
+                    half = ClassicalOrbit(
+                        "sp", n, sp_half_partition(o.partition, n))
+                    sp_half.add(f"sp half {o}",
+                                "searched half matches ker(ad e)^2",
+                                centralizer_dims(half)[0], ker_ad_squared(tr))
+                    sp_half.add(f"sp half {o} toral",
+                                "half never almost distinguished",
+                                False, reductive_type(half).is_toral)
+                    continue
                 half = half_orbit(o)
-                rep.add(f"ker2 {o}", "dim ker(ad e)^2 = dim z(half)",
-                        centralizer_dims(half)[0], ker_ad_squared(tr))
-                rep.add(f"halfchar {o}", "characteristic of half is h/2",
-                        [v // 2 for v in o.partition.weight_string()],
-                        half.partition.weight_string())
-    for n in ranges["sp"]:
-        for o in valid_partitions("sp", n):
-            if not is_divisible(o):
-                continue
-            half = sp_half_partition(o.partition, n)
-            tr = triple_from_partition("sp", n, o.partition)
-            rep.add(f"sp half {o}", "searched half matches ker(ad e)^2",
-                    centralizer_dims(ClassicalOrbit("sp", n, half))[0],
-                    ker_ad_squared(tr))
-            rep.add(f"sp half {o} toral", "half never almost distinguished",
-                    False,
-                    reductive_type(ClassicalOrbit("sp", n, half)).is_toral)
+                ker2.add(f"ker2 {o}", "dim ker(ad e)^2 = dim z(half)",
+                         centralizer_dims(half)[0], ker_ad_squared(tr))
+                ker2.add(f"halfchar {o}", "characteristic of half is h/2",
+                         [v // 2 for v in o.partition.weight_string()],
+                         half.partition.weight_string())
+    rep.cases = z.cases + ker2.cases + sp_half.cases
     for pair in swept_pairs(max_n - 1, include_exceptional=False):
         if pair.g.ambient[1] > max_n:
             continue

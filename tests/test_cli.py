@@ -6,7 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nilorbits import oracle
 from nilorbits.cli import main, parse_ambient, parse_pair
+from nilorbits.oracle import oracle_sizes
+from nilorbits.orbits import centralizer_dims, valid_partitions
 
 
 def run(capsys, *argv):
@@ -106,6 +109,34 @@ def test_oracle_command(capsys):
     assert code == 0
     data = json.loads(out)
     assert (data["centralizer"], data["ker_ad_squared"]) == (39, 78)
+
+
+def test_oracle_takes_every_ambient_the_suite_checks(capsys):
+    # so3, so4, so6 and sp2 have no Cartan label SimpleType accepts
+    for kind, ns in oracle_sizes(6).items():
+        for n in ns:
+            for o in valid_partitions(kind, n):
+                lam = "(" + ",".join(map(str, o.partition.parts)) + ")"
+                code, out, err = run(capsys, "--json", "oracle",
+                                     f"{kind}{n}", lam)
+                assert code == 0, (kind, n, lam, err)
+                data = json.loads(out)
+                assert data["relations_ok"] is True
+                assert data["centralizer"] == centralizer_dims(o)[0], o
+    for argv in (["sl1", "(1)"], ["so2", "(1,1)"], ["sp7", "(7)"],
+                 ["G2", "G2(a1)"]):
+        code, out, err = run(capsys, "oracle", *argv)
+        assert code == 2 and out == "" and "usage error" in err, argv
+
+
+def test_oracle_command_builds_ad_blocks_once(capsys, monkeypatch):
+    calls = []
+    real = oracle._weight_blocks
+    monkeypatch.setattr(oracle, "_weight_blocks",
+                        lambda *a: calls.append(a) or real(*a))
+    code, out, _ = run(capsys, "--json", "oracle", "so8", "(3,3,1,1)")
+    assert code == 0
+    assert (json.loads(out)["centralizer"], len(calls)) == (10, 1)
 
 
 def test_verify_command(capsys):

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from nilorbits.linalg import mat_mul, rank
+from nilorbits.linalg import (_eliminate, eigenspace_dim, mat_mul, rank,
+                              solve_in_span)
 
 
 def gauss_jordan_rank(matrix):
@@ -38,6 +40,92 @@ def test_rank_matches_rational_elimination():
         rows, cols = rng.randint(1, 8), rng.randint(1, 8)
         m = [[rng.choice(entries) for _ in range(cols)] for _ in range(rows)]
         assert rank(m) == gauss_jordan_rank(m), m
+
+
+def as_dicts(matrix):
+    return [{j: v for j, v in enumerate(row) if v} for row in matrix]
+
+
+def test_rank_of_dict_rows_and_large_entries():
+    rng = random.Random(20242)
+    for trial in range(600):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        big = 10 ** 6 if trial % 2 else 3
+        m = [[rng.choice([0, 0, 0, rng.randint(-big, big)])
+              for _ in range(cols)] for _ in range(rows)]
+        if trial % 3 == 0 and rows > 2:      # a dependent row
+            m[-1] = [2 * x - 7 * y for x, y in zip(m[0], m[1])]
+        want = gauss_jordan_rank(m)
+        assert rank(m) == want, m
+        assert rank(as_dicts(m)) == want, m
+    # explicit zeros in a dict row are ignored
+    assert rank([{0: 0, 1: 2}, {1: 0}, {1: -4, 2: 0}]) == 1
+    assert rank([]) == 0 and rank([{}, {}]) == 0
+
+
+def test_rank_of_dense_30_by_30_with_large_entries():
+    # coefficient growth: every entry is up to 10^6 in size
+    rng = random.Random(20243)
+    for trial in range(4):
+        m = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(30)]
+             for _ in range(30)]
+        if trial % 2:
+            m[29] = [a - 3 * b + c for a, b, c in zip(m[0], m[7], m[12])]
+            m[28] = [5 * a for a in m[3]]
+        assert rank(m) == gauss_jordan_rank(m) == (30 if trial % 2 == 0
+                                                   else 28)
+
+
+def test_echelon_rows_are_primitive():
+    # (9, 3, 0) - 3 (3, 2, 1) = (0, -3, -3) joins as (0, -1, -1); the last
+    # row is 2 (3, 2, 1) - (9, 3, 0)
+    rows = [{0: 6, 1: 4, 2: 2}, {0: 9, 1: 3}, {0: -3, 1: 1, 2: 2}]
+    echelon = {}
+    assert _eliminate(rows, echelon) == {}
+    assert echelon == {0: {0: 3, 1: 2, 2: 1}, 1: {1: -1, 2: -1}}
+    rng = random.Random(20245)
+    m = [{j: rng.choice([-6, 6]) * rng.randint(1, 50) for j in range(8)}
+         for _ in range(8)]
+    echelon = {}
+    _eliminate(m, echelon)
+    assert len(echelon) == 8
+    assert all(math.gcd(*r.values()) == 1 for r in echelon.values())
+
+
+def test_rank_rejects_ragged_rows():
+    with pytest.raises(ValueError, match="differ in length"):
+        rank([[1, 2, 3], [4, 5]])
+    with pytest.raises(ValueError, match="differ in length"):
+        rank([[0, 0], [1, 2, 3]])       # a zero row is still a row
+
+
+def test_eigenspace_dim_of_dense_and_dict_rows():
+    swap = [[0, 1, 0], [1, 0, 0], [0, 0, -1]]
+    for m in (swap, as_dicts(swap)):
+        assert eigenspace_dim(m, 1) == 1
+        assert eigenspace_dim(m, -1) == 2
+        assert eigenspace_dim(m, 2) == 0
+
+
+def test_solve_in_span():
+    rng = random.Random(20244)
+    for trial in range(400):
+        r, c, m = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 4)
+        basis = [[[rng.choice([0, 0, 1, -1, 2, -3]) for _ in range(c)]
+                  for _ in range(r)] for _ in range(m)]
+        coef = [rng.randint(-3, 3) for _ in range(m)]
+        target = [[sum(coef[k] * basis[k][i][j] for k in range(m))
+                   for j in range(c)] for i in range(r)]
+        sol = solve_in_span(basis, target)
+        assert len(sol) == m
+        assert all(sum(sol[k] * basis[k][i][j] for k in range(m))
+                   == target[i][j] for i in range(r) for j in range(c))
+    # coordinates need not be integers; a dependent basis matrix gets 0
+    basis = [[[2, 0], [0, 0]], [[4, 0], [0, 0]], [[0, 0], [0, 3]]]
+    assert solve_in_span(basis, [[1, 0], [0, 1]]) == \
+        [Fraction(1, 2), 0, Fraction(1, 3)]
+    with pytest.raises(ValueError, match="not in the span"):
+        solve_in_span(basis, [[0, 1], [0, 0]])
 
 
 def test_mat_mul_matches_triple_loop():

@@ -1,12 +1,16 @@
+import random
+
 import pytest
 
+from nilorbits import oracle, verify
 from nilorbits.gradings import decompose, decompose_classical, grading_grid
 from nilorbits.involutions import catalog, pair_by_descriptor
-from nilorbits.linalg import commutator, is_zero, mat_mul, mat_sub, rank
+from nilorbits.linalg import commutator, mat_mul, rank
 from nilorbits.orbits import (ClassicalOrbit, Partition, centralizer_dims,
                               half_orbit, is_divisible, valid_partitions)
-from nilorbits.oracle import (RealizedPair, centralizer_dim, ker_ad_squared,
-                              oracle_grid, realize_pair, sp_half_partition,
+from nilorbits.oracle import (RealizedPair, SL2Triple, centralizer_dim,
+                              ker_ad_squared, oracle_grid, oracle_sizes,
+                              realize_pair, sp_half_partition,
                               triple_from_partition)
 from nilorbits.roots import SimpleType, all_simple_types
 from nilorbits.verify import suite_oracle
@@ -86,6 +90,103 @@ def test_sl_kernels_match_clebsch_gordan():
             assert ker_ad_squared(t) == gl_kernel_dim(parts, 2) - 1, o
 
 
+def kernel_dim(kind, parts, k):
+    """dim ker(ad e)^k on sl_n, so_n = L^2 V or sp_n = S^2 V, with V the sum
+    of the strings V_a.  In V_a (x) V_a the terms V_{2a-1-2t} with t odd
+    make up L^2 V_a and those with t even S^2 V_a."""
+    if kind == "sl":
+        return gl_kernel_dim(parts, k) - 1
+    cross = sum(min(k, a + b - 1 - 2 * t) for i, a in enumerate(parts)
+                for b in parts[i + 1:] for t in range(min(a, b)))
+    odd = kind == "so"
+    return cross + sum(min(k, 2 * a - 1 - 2 * t) for a in parts
+                       for t in range(a) if t % 2 == odd)
+
+
+@pytest.mark.parametrize("n", [10, 11, 12, 13])
+def test_kernels_match_closed_forms(n):
+    for kind in ("sl", "so", "sp"):
+        if n not in oracle_sizes(n)[kind]:
+            continue
+        for o in valid_partitions(kind, n):
+            t = triple_from_partition(kind, n, o.partition)
+            parts = o.partition.parts
+            assert centralizer_dim(t) == centralizer_dims(o)[0] == \
+                kernel_dim(kind, parts, 1), o
+            assert ker_ad_squared(t) == kernel_dim(kind, parts, 2), o
+
+
+@pytest.mark.parametrize("kind,lam", [
+    ("sl", "(20,20)"), ("so", "(9,9,7,7,5,3)"), ("sp", "(8,8,6,6,4,4,2,2)")])
+def test_kernels_at_n_40(kind, lam):
+    o = ClassicalOrbit(kind, 40, P(lam))
+    t = triple_from_partition(kind, 40, o.partition)
+    assert centralizer_dim(t) == centralizer_dims(o)[0]
+    assert ker_ad_squared(t) == kernel_dim(kind, o.partition.parts, 2)
+
+
+def test_kernels_of_triples_that_are_not_upper_triangular():
+    # the gl_m realisations in so_2m/sp_2m act as -x^T on W*
+    for ts, g0 in [("D4", "gl4"), ("D5", "gl5"), ("C3", "gl3"),
+                   ("C4", "gl4")]:
+        p = pair_by_descriptor(SimpleType.parse(ts), g0)
+        kind, n = p.g.ambient
+        for o in valid_partitions("sl", n // 2):
+            t = realize_pair(p, [o.partition]).triple
+            doubled = Partition.of(*o.partition.parts * 2)
+            assert centralizer_dim(t) == \
+                centralizer_dims(ClassicalOrbit(kind, n, doubled))[0], o
+            assert ker_ad_squared(t) == \
+                kernel_dim(kind, doubled.parts, 2), o
+
+
+def test_kernels_do_not_depend_on_the_order_of_the_basis():
+    # relabelling the basis by a random permutation scatters e on both
+    # sides of the diagonal, so the image of A = E_ij +- E_ji needs both
+    # of its terms
+    rng = random.Random(20246)
+    for kind, n, lam in [("sl", 6, "(3,2,1)"), ("so", 8, "(3,3,1,1)"),
+                         ("so", 9, "(5,3,1)"), ("sp", 8, "(4,2,2)"),
+                         ("sp", 6, "(3,3)"), ("sp", 8, "(2,2,2,2)")]:
+        t = triple_from_partition(kind, n, P(lam))
+        want = (centralizer_dim(t), ker_ad_squared(t))
+        for _ in range(5):
+            perm = rng.sample(range(n), n)
+
+            def relabel(m):
+                return None if m is None else \
+                    [[m[a][b] for b in perm] for a in perm]
+
+            u = SL2Triple(kind, n, relabel(t.e), relabel(t.h), relabel(t.f),
+                          relabel(t.form))
+            assert u.check_relations(), (kind, n, lam, perm)
+            assert (centralizer_dim(u), ker_ad_squared(u)) == want, perm
+
+
+def test_ad_blocks_built_once_per_triple(monkeypatch):
+    calls = []
+    real = oracle._weight_blocks
+    monkeypatch.setattr(oracle, "_weight_blocks",
+                        lambda *a: calls.append(a) or real(*a))
+    t = triple_from_partition("so", 8, P("(3,3,1,1)"))
+    assert (centralizer_dim(t), ker_ad_squared(t)) == (10, 18)
+    assert ker_ad_squared(t) == 18
+    assert len(calls) == 1
+
+
+def test_oracle_suite_builds_one_triple_per_orbit(monkeypatch):
+    calls = []
+    real = verify.triple_from_partition
+    monkeypatch.setattr(verify, "triple_from_partition",
+                        lambda *a: calls.append(a) or real(*a))
+    rep = suite_oracle(7)
+    assert rep.ok, rep.render()
+    orbits = [(kind, n, o.partition) for kind, ns in oracle_sizes(7).items()
+              for n in ns for o in valid_partitions(kind, n)]
+    assert calls == orbits
+    assert sum(c.case_id.startswith("z ") for c in rep.cases) == len(orbits)
+
+
 def test_ker_ad_squared():
     t = triple_from_partition("sl", 6, P("(5,1)"))
     assert ker_ad_squared(t) == \
@@ -116,9 +217,9 @@ def test_realized_involutions():
         rp = realize_pair(p)
         tr = rp.triple
         assert tr.check_relations(), (ts, g0)
-        assert is_zero(mat_sub(rp.sigma(tr.e), tr.e)), (ts, g0)
-        assert is_zero(mat_sub(rp.sigma(tr.h), tr.h)), (ts, g0)
-        assert is_zero(mat_sub(rp.sigma(rp.sigma(tr.f)), tr.f)), (ts, g0)
+        assert rp.sigma(tr.e) == tr.e, (ts, g0)
+        assert rp.sigma(tr.h) == tr.h, (ts, g0)
+        assert rp.sigma(rp.sigma(tr.f)) == tr.f, (ts, g0)
 
 
 def test_involution_fixed_space_dims():
@@ -192,7 +293,7 @@ def test_commutator_helper():
     a = [[0, 1], [0, 0]]
     b = [[0, 0], [1, 0]]
     assert commutator(a, b) == [[1, 0], [0, -1]]
-    assert is_zero(mat_sub(mat_mul(a, b), [[1, 0], [0, 0]]))
+    assert mat_mul(a, b) == [[1, 0], [0, 0]]
 
 
 def test_oracle_suite_grids_follow_max_n():
