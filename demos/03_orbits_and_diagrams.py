@@ -24,15 +24,16 @@ for kind, n, lam in [("so", 9, "(5,3,1)"), ("sp", 8, "(4,4)"),
     print(f"  dim z(e) = {total}, reductive part {reductive_type(o)} "
           f"(dim {red}), nilradical {nil}")
     print(f"  even: {is_even(o)}, divisible: {is_divisible(o)}")
-    if is_divisible(o) and kind != "sp":
+    if is_divisible(o):
         print(f"  half-orbit: {half_orbit(o).partition}")
     print()
 
-print("half-orbit transform on consecutive pairs of odd parts:")
-for lam in ("(7,7)", "(5,5)", "(5,3)", "(5,3,1)"):
+print("half-orbits: each odd part 2m+1 halves to the parts m+1 and m")
+for kind, lam in [("so", "(7,7)"), ("so", "(5,3,1)"), ("sp", "(3,3)"),
+                  ("sl", "(5,1)")]:
     p = Partition.parse(lam)
-    o = ClassicalOrbit("so", p.n, p)
-    print(f"  so{p.n} {p} -> {half_orbit(o).partition}")
+    o = ClassicalOrbit(kind, p.n, p)
+    print(f"  {o} -> {half_orbit(o).partition}")
 
 print()
 rec = exceptional_lookup(SimpleType("E", 8), "E8(a4)")

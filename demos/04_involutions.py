@@ -10,9 +10,8 @@ signature identifies the class.
 
 from nilorbits.exceptional import exceptional_lookup
 from nilorbits.involutions import (catalog, ibn_signature, identify_ibn,
-                                   max_orbit_meeting_g1, orbit_meets_g1,
-                                   pair_by_descriptor, pi_involution,
-                                   so_pair_ibn)
+                                   orbit_meets_g1, pair_by_descriptor,
+                                   pi_involution, so_pair_ibn)
 from nilorbits.roots import SimpleType
 
 for name in ("A3", "B3", "D5", "E6", "E7"):
@@ -43,5 +42,3 @@ sat = pair_by_descriptor(e7, "D6+A1").satake
 d = exceptional_lookup(e7, "E7(a3)").wdd
 print(f"does the E7(a3) orbit meet the odd part of the D6+A1 pair? "
       f"{orbit_meets_g1(d, sat)}")
-print(f"largest orbit meeting it instead: labels "
-      f"{max_orbit_meeting_g1(sat).labels}")

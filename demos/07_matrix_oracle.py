@@ -5,16 +5,16 @@ The matrix oracle
 Everything the combinatorial layers compute can be recomputed from
 explicit integer matrices: triples from Jordan strings, involutions as
 conjugations or form twists, centralisers as kernels of ad e.  The demo
-runs both paths side by side and finishes with the search that fills the
-one gap without a closed form: half-orbits in sp_2n.
+runs both paths side by side and finishes with the half-orbits of sp_2n,
+checked against the kernel of (ad e)^2.
 """
 
 from nilorbits.gradings import decompose, grading_grid
 from nilorbits.involutions import pair_by_descriptor
 from nilorbits.orbits import (ClassicalOrbit, Partition, centralizer_dims,
-                              valid_partitions, is_divisible)
+                              half_orbit, valid_partitions, is_divisible)
 from nilorbits.oracle import (centralizer_dim, ker_ad_squared, oracle_grid,
-                              sp_half_partition, triple_from_partition)
+                              triple_from_partition)
 from nilorbits.roots import SimpleType
 
 lam = Partition.parse("(5,3,1)")
@@ -38,9 +38,11 @@ print(f"{pair}: matrix grid equals the module-theoretic grid: "
       f"{oracle_grid(pair) == grading_grid(decompose(pair))}")
 
 print()
-print("sp half-orbits, recovered by matching halved weight strings:")
+print("sp half-orbits: dim ker(ad e)^2 = dim z(half)?")
 for n in (6, 8):
     for o in valid_partitions("sp", n):
         if is_divisible(o):
-            half = sp_half_partition(o.partition, n)
-            print(f"  sp{n} {o.partition} -> {half}")
+            half = half_orbit(o)
+            k2 = ker_ad_squared(triple_from_partition("sp", n, o.partition))
+            print(f"  sp{n} {o.partition} -> {half.partition}: "
+                  f"{k2 == centralizer_dims(half)[0]}")

@@ -84,17 +84,18 @@ def cmd_wdd(args) -> int:
     orbit = ClassicalOrbit(kind, n, Partition.parse(args.partition))
     wdd = wdd_from_partition(orbit)
     total, red, nil = centralizer_dims(orbit)
+    divisible = is_divisible(orbit)
     lines = [f"{orbit} in type {t}", wdd.render(),
              f"labels: {wdd.labels}",
              f"dim g^e = {total}, red = {reductive_type(orbit)} "
              f"(dim {red}), nil = {nil}",
-             f"even: {is_even(orbit)}, divisible: {is_divisible(orbit)}"]
-    if is_divisible(orbit) and kind != "sp":
+             f"even: {is_even(orbit)}, divisible: {divisible}"]
+    if divisible:
         lines.append(f"half orbit: {half_orbit(orbit).partition}")
     _emit(args, {"orbit": str(orbit), "wdd": wdd.to_json(),
                  "dim_centralizer": total, "red": str(reductive_type(orbit)),
                  "dim_red": red, "dim_nil": nil,
-                 "even": is_even(orbit), "divisible": is_divisible(orbit)},
+                 "even": is_even(orbit), "divisible": divisible},
           "\n".join(lines))
     return 0
 

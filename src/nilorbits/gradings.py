@@ -396,7 +396,7 @@ def divisibility_report(pd: PairDecomposition,
         orbit = pd.ambient_orbit()
         divisible = is_divisible(orbit)
         e_ad = is_almost_distinguished(orbit)
-        half = half_orbit(orbit) if divisible and orbit.kind != "sp" else None
+        half = half_orbit(orbit) if divisible else None
         half_ad = is_almost_distinguished(half) if half else False
         half_part = half.partition if half else None
     else:

@@ -373,10 +373,3 @@ def orbit_meets_g1(wdd, s: SatakeDiagram) -> bool:
         return False
     return all(wdd.labels[i] == wdd.labels[j] for i, j in s.arrows)
 
-
-def max_orbit_meeting_g1(s: SatakeDiagram):
-    """Diagram of the largest orbit meeting the odd part: 2 on white
-    nodes, 0 on black."""
-    from .orbits import WeightedDynkinDiagram
-    labels = tuple(0 if i in s.black else 2 for i in range(s.type.rank))
-    return WeightedDynkinDiagram(s.type, labels)

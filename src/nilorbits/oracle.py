@@ -29,7 +29,7 @@ from .gradings import MixedGrading, factor_jordan_types
 from .involutions import SymmetricPair
 from .linalg import (Matrix, SparseRow, commutator, eigenspace_dim, mat_mul,
                      mat_scale, rank, solve_in_span, transpose, zeros)
-from .orbits import ClassicalOrbit, Partition, is_divisible, valid_partitions
+from .orbits import ClassicalOrbit, Partition
 
 
 def oracle_sizes(max_n: int) -> dict[str, range]:
@@ -408,19 +408,3 @@ def oracle_grid(pair: SymmetricPair,
                            f"dimensions, dim g0 is {pair.dim_g0}")
     return MixedGrading(row0, row1)
 
-
-def sp_half_partition(lam: Partition, n: int) -> Partition:
-    """Search for the Jordan type with the halved characteristic (sp only).
-
-    No closed-form transform is recorded for sp; the result is found by
-    matching weight strings over all valid sp partitions.
-    """
-    orbit = ClassicalOrbit("sp", n, lam)
-    if not is_divisible(orbit):
-        raise ValueError(f"{orbit} is not divisible")
-    target = [v // 2 for v in lam.weight_string()]
-    hits = [o.partition for o in valid_partitions("sp", n)
-            if o.partition.weight_string() == target]
-    if len(hits) != 1:
-        raise RuntimeError(f"halved weight string matched {hits}")
-    return hits[0]

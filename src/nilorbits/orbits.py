@@ -151,11 +151,6 @@ class WeightedDynkinDiagram:
         z = self.zeros
         return all(not (adj[i] & z) for i in z)
 
-    def halved(self) -> tuple[int, ...] | None:
-        if any(v % 2 for v in self.labels):
-            return None
-        return tuple(v // 2 for v in self.labels)
-
     @cached_property
     def height_counts(self) -> dict[int, int]:
         """Number of positive roots at each weighted height <alpha, labels>."""
@@ -330,75 +325,31 @@ def is_almost_distinguished(o: ClassicalOrbit) -> bool:
 # Divisibility and half-orbits
 # ---------------------------------------------------------------------------
 
+def _half(o: ClassicalOrbit) -> ClassicalOrbit | None:
+    """The orbit of the same kind whose weight string is half that of o.
+
+    The h-weights on V fix the Jordan type, and the halved weights
+    m, m-1, ..., -m of a part 2m+1 are those of the two parts m+1 and m;
+    zero parts are dropped.  None when some part is even or the halved
+    type is not an orbit of o's kind.
+    """
+    if any(p % 2 == 0 for p in o.partition.parts):
+        return None
+    parts = [v for p in o.partition.parts for v in (p // 2 + 1, p // 2) if v]
+    try:
+        return ClassicalOrbit(o.kind, o.n, Partition.of(*parts))
+    except ValueError:
+        return None
+
+
 def is_divisible(o: ClassicalOrbit) -> bool:
-    parts = o.partition.parts
-    if any(p % 2 == 0 for p in parts):
-        return False
-    if o.kind == "sl":
-        return True
-    if o.kind == "sp":
-        return all(m % 2 == 0 for m in o.partition.multiplicities.values())
-    # so: scan consecutive pairs (parts are all odd at this point)
-    i = 0
-    while i < len(parts):
-        a = parts[i]
-        if a == 1:
-            return True  # tail of ones is unconstrained
-        if a % 4 == 3:
-            if i + 1 >= len(parts) or parts[i + 1] != a:
-                return False
-        else:  # a = 4m+1 > 1
-            if i + 1 >= len(parts) or parts[i + 1] not in (a, a - 2):
-                return False
-        i += 2
-    return True
-
-
-def _half_parts_sl(parts: tuple[int, ...]) -> list[int]:
-    out = []
-    for p in parts:
-        m = (p - 1) // 2
-        out.extend(v for v in (m + 1, m) if v > 0)
-    return sorted(out, reverse=True)
+    """Whether h/2 is again the characteristic of a nilpotent orbit."""
+    return _half(o) is not None
 
 
 def half_orbit(o: ClassicalOrbit) -> ClassicalOrbit:
-    """The orbit with characteristic h/2 (sl and so ambients only).
-
-    For so the transform acts on consecutive pairs of parts:
-        (4m+3, 4m+3) -> (2m+2, 2m+2, 2m+1, 2m+1)
-        (4m+1, 4m+1) -> (2m+1, 2m+1, 2m, 2m)
-        (4m+1, 4m-1) -> (2m+1, 2m, 2m, 2m-1)
-    with zero parts dropped; an unpaired trailing part 2m+1 contributes
-    (m+1, m).
-    """
-    if not is_divisible(o):
+    """The orbit with characteristic h/2 (sl, so and sp ambients)."""
+    half = _half(o)
+    if half is None:
         raise ValueError(f"{o} is not divisible")
-    if o.kind == "sp":
-        raise ValueError("no closed-form half-orbit transform for sp; "
-                         "use the matrix oracle")
-    parts = o.partition.parts
-    if o.kind == "sl":
-        new = _half_parts_sl(parts)
-    else:
-        new = []
-        i = 0
-        while i < len(parts):
-            if i + 1 < len(parts):
-                a, b = parts[i], parts[i + 1]
-                if a % 4 == 3 and b == a:
-                    m = (a - 3) // 4
-                    new += [2 * m + 2, 2 * m + 2, 2 * m + 1, 2 * m + 1]
-                elif a % 4 == 1 and b == a:
-                    m = (a - 1) // 4
-                    new += [2 * m + 1, 2 * m + 1, 2 * m, 2 * m]
-                else:  # (4m+1, 4m-1)
-                    m = (a - 1) // 4
-                    new += [2 * m + 1, 2 * m, 2 * m, 2 * m - 1]
-                i += 2
-            else:
-                m = (parts[i] - 1) // 2
-                new += [m + 1, m]
-                i += 1
-        new = sorted((v for v in new if v > 0), reverse=True)
-    return ClassicalOrbit(o.kind, o.n, Partition(tuple(new)))
+    return half

@@ -225,11 +225,6 @@ class RootSystem:
             c = tuple(-x for x in c)
         return c in self._index
 
-    def pairing(self, root: Root, i: int) -> int:
-        """<root, alpha_i^vee>, computed from the Cartan matrix."""
-        a = self.type.cartan_matrix()
-        return sum(c * a[i][j] for j, c in enumerate(root.coeffs))
-
     def norm2(self, root: Root) -> int:
         """(root, root), normalised so short simple roots have norm 2."""
         d = self.type.root_lengths()

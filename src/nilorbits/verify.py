@@ -23,7 +23,7 @@ from .orbits import (ClassicalOrbit, Partition, all_partitions,
                      centralizer_dims, half_orbit, is_divisible,
                      reductive_type, valid_partitions, wdd_from_partition)
 from .oracle import (centralizer_dim, ker_ad_squared, oracle_grid,
-                     oracle_sizes, sp_half_partition, triple_from_partition)
+                     oracle_sizes, triple_from_partition)
 from .roots import (SimpleType, all_simple_types, build_root_system,
                     coxeter_number, kappa_direct, kappa_root_count)
 from .sl2 import SL2Module
@@ -413,17 +413,15 @@ def suite_oracle(max_n: int = 9) -> VerificationReport:
                       centralizer_dims(o)[0], centralizer_dim(tr))
                 if not is_divisible(o):
                     continue
+                half = half_orbit(o)
                 if kind == "sp":
-                    half = ClassicalOrbit(
-                        "sp", n, sp_half_partition(o.partition, n))
                     sp_half.add(f"sp half {o}",
-                                "searched half matches ker(ad e)^2",
+                                "dim ker(ad e)^2 = dim z(half)",
                                 centralizer_dims(half)[0], ker_ad_squared(tr))
                     sp_half.add(f"sp half {o} toral",
                                 "half never almost distinguished",
                                 False, reductive_type(half).is_toral)
                     continue
-                half = half_orbit(o)
                 ker2.add(f"ker2 {o}", "dim ker(ad e)^2 = dim z(half)",
                          centralizer_dims(half)[0], ker_ad_squared(tr))
                 ker2.add(f"halfchar {o}", "characteristic of half is h/2",

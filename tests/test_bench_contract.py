@@ -10,15 +10,17 @@ the counters can read every argument tuple the kernels receive.
 
 import importlib
 import importlib.util
+import json
 import pathlib
 import sys
 
 import pytest
 
 from nilorbits import cli
-from nilorbits.verify import suite_oracle
+from nilorbits.verify import run_suite, suite_oracle
 
-_SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+_PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+_SPANS = _PERFBENCH / "spans.py"
 
 
 def _load_spans():
@@ -82,3 +84,18 @@ def test_oracle_suite_reaches_the_kernels_the_counters_read(recorded):
             assert isinstance(work, int) and work >= 0, (name, work)
             counted += 1
     assert counted
+
+
+def test_suites_keep_the_case_ids_the_workloads_count():
+    # the benchmark counts a missing case as failed and matches known
+    # failures by case id, so a suite may not drop or duplicate one
+    workloads = json.loads((_PERFBENCH / "workloads.json").read_text())
+    swept = [w for w in workloads.values() if "cases" in w]
+    assert swept
+    for w in swept:
+        for name, count in sorted(w["cases"].items()):
+            ids = [c.case_id for c in
+                   run_suite(name, max_rank=w["max_rank"]).cases]
+            where = f"{name} at --max-rank {w['max_rank']}"
+            assert len(ids) >= count, f"{where}: {len(ids)} < {count}"
+            assert len(set(ids)) == len(ids), f"{where}: duplicate case ids"

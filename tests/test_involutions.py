@@ -2,8 +2,7 @@ import pytest
 
 from nilorbits import involutions
 from nilorbits.involutions import (SatakeDiagram, catalog, ibn_signature,
-                                   identify_ibn, maximal_rank,
-                                   max_orbit_meeting_g1, orbit_meets_g1,
+                                   identify_ibn, maximal_rank, orbit_meets_g1,
                                    pair_by_descriptor, pi_involution,
                                    so_pair_ibn)
 from nilorbits.orbits import (ClassicalOrbit, Partition, WeightedDynkinDiagram,
@@ -185,14 +184,6 @@ def test_orbit_meets_type_mismatch():
     sat = maximal_rank(SimpleType("A", 3)).satake
     with pytest.raises(ValueError):
         orbit_meets_g1(wdd, sat)
-
-
-def test_max_orbit_meeting_g1():
-    p = pair_by_descriptor(SimpleType("E", 7), "D6+A1")
-    wdd = max_orbit_meeting_g1(p.satake)
-    assert wdd.labels == (2, 0, 2, 2, 0, 2, 0)
-    mr = maximal_rank(SimpleType("B", 3))
-    assert max_orbit_meeting_g1(mr.satake).labels == (2, 2, 2)
 
 
 def test_descriptor_normalisation():

@@ -10,8 +10,7 @@ from nilorbits.orbits import (ClassicalOrbit, Partition, centralizer_dims,
                               half_orbit, is_divisible, valid_partitions)
 from nilorbits.oracle import (RealizedPair, SL2Triple, centralizer_dim,
                               ker_ad_squared, oracle_grid, oracle_sizes,
-                              realize_pair, sp_half_partition,
-                              triple_from_partition)
+                              realize_pair, triple_from_partition)
 from nilorbits.roots import SimpleType, all_simple_types
 from nilorbits.verify import suite_oracle
 
@@ -199,7 +198,7 @@ def test_ker_ad_squared():
 
 
 def test_half_orbit_kernel_identity():
-    for kind, sizes in [("sl", range(2, 10)), ("so", range(3, 10))]:
+    for kind, sizes in oracle_sizes(9).items():
         for n in sizes:
             for o in valid_partitions(kind, n):
                 if not is_divisible(o):
@@ -271,22 +270,14 @@ def test_oracle_grid_with_explicit_partition():
 
 
 def test_sp_half_search():
-    assert sp_half_partition(P("(3,3)"), 6).parts == (2, 2, 1, 1)
-    assert sp_half_partition(P("(5,5)"), 10).parts == (3, 3, 2, 2)
-    assert sp_half_partition(P("(3,3,1,1)"), 8).parts == (2, 2, 1, 1, 1, 1)
+    def half(lam, n):
+        return half_orbit(ClassicalOrbit("sp", n, P(lam))).partition.parts
+
+    assert half("(3,3)", 6) == (2, 2, 1, 1)
+    assert half("(5,5)", 10) == (3, 3, 2, 2)
+    assert half("(3,3,1,1)", 8) == (2, 2, 1, 1, 1, 1)
     with pytest.raises(ValueError):
-        sp_half_partition(P("(4,2)"), 6)
-
-
-def test_sp_half_matches_kernel():
-    for n in (2, 4, 6, 8):
-        for o in valid_partitions("sp", n):
-            if not is_divisible(o):
-                continue
-            half = sp_half_partition(o.partition, n)
-            t = triple_from_partition("sp", n, o.partition)
-            assert ker_ad_squared(t) == \
-                centralizer_dims(ClassicalOrbit("sp", n, half))[0]
+        half("(4,2)", 6)
 
 
 def test_commutator_helper():

@@ -188,6 +188,9 @@ def test_distinguished_implies_even():
     ("sp", "(3,3)", True),
     ("sp", "(3,3,1,1)", True),
     ("sp", "(5,5,3,3)", True),
+    ("sp", "(4,2)", False),
+    ("sp", "(3,3,2)", False),
+    ("sp", "(1,1)", True),
 ])
 def test_divisibility(kind, lam, expect):
     p = Partition.parse(lam)
@@ -201,6 +204,9 @@ def test_divisibility(kind, lam, expect):
     ("so", "(5,5)", (3, 3, 2, 2)),
     ("so", "(5,3,1)", (3, 2, 2, 1, 1)),
     ("sl", "(3)", (2, 1)),
+    ("sp", "(3,3)", (2, 2, 1, 1)),
+    ("sp", "(5,5,3,3)", (3, 3, 2, 2, 2, 2, 1, 1)),
+    ("sp", "(7,7,1,1)", (4, 4, 3, 3, 1, 1)),
 ])
 def test_half_orbit(kind, lam, half):
     p = Partition.parse(lam)
@@ -212,7 +218,9 @@ def test_half_orbit_preconditions():
     with pytest.raises(ValueError):
         half_orbit(ClassicalOrbit("sl", 4, Partition.parse("(2,2)")))
     with pytest.raises(ValueError):
-        half_orbit(ClassicalOrbit("sp", 6, Partition.parse("(3,3)")))
+        half_orbit(ClassicalOrbit("sp", 6, Partition.parse("(4,2)")))
+    with pytest.raises(ValueError):
+        half_orbit(ClassicalOrbit("so", 8, Partition.parse("(7,1)")))
 
 
 def test_half_orbit_characteristic_is_halved():
@@ -223,6 +231,27 @@ def test_half_orbit_characteristic_is_halved():
                     continue
                 want = [v // 2 for v in o.partition.weight_string()]
                 assert half_orbit(o).partition.weight_string() == want, o
+
+
+def _searched_halves(o):
+    """Reference by search: the orbits of o's kind and size whose weight
+    string is half of o's, given that every part of o is odd."""
+    target = [v // 2 for v in o.partition.weight_string()]
+    return [h for h in valid_partitions(o.kind, o.n)
+            if h.partition.weight_string() == target]
+
+
+@pytest.mark.parametrize("kind,sizes", [
+    ("sl", range(1, 15)), ("so", range(1, 15)), ("sp", range(2, 15, 2))])
+def test_half_rule_matches_weight_string_search(kind, sizes):
+    for n in sizes:
+        for o in valid_partitions(kind, n):
+            odd = all(p % 2 for p in o.partition.parts)
+            hits = _searched_halves(o) if odd else []
+            assert len(hits) <= 1, (o, hits)
+            assert is_divisible(o) == bool(hits), o
+            if hits:
+                assert half_orbit(o) == hits[0], o
 
 
 def test_all_partitions_count():
