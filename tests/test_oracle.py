@@ -280,6 +280,17 @@ def test_sp_half_search():
         half("(4,2)", 6)
 
 
+def test_sp_half_matches_kernel():
+    for n in (2, 4, 6, 8):
+        for o in valid_partitions("sp", n):
+            if not is_divisible(o):
+                continue
+            half = half_orbit(o)
+            assert half.kind == "sp" and half.n == n, o
+            t = triple_from_partition("sp", n, o.partition)
+            assert ker_ad_squared(t) == centralizer_dims(half)[0], o
+
+
 def test_commutator_helper():
     a = [[0, 1], [0, 0]]
     b = [[0, 0], [1, 0]]
