@@ -38,10 +38,21 @@ def _matrix_name(text: str) -> tuple[str, int] | None:
         size.isdigit() else None
 
 
+# matrix names of small rank that have no Cartan label of their own kind
+_SMALL_AMBIENTS = {("so", 3): "is isomorphic to sp2 = sl2: use A1 or sl2",
+                   ("sp", 2): "is sl2: use A1 or sl2",
+                   ("so", 4): "= A1xA1 is not simple",
+                   ("so", 6): "is isomorphic to sl4: use A3 or sl4"}
+
+
 def parse_ambient(text: str) -> tuple[SimpleType, tuple[str, int] | None]:
     """Accept 'E6', 'B4', 'sl6', 'so10', 'sp8'."""
     text = text.strip()
     amb = _matrix_name(text)
+    if amb in _SMALL_AMBIENTS:
+        raise UsageError(f"{text} {_SMALL_AMBIENTS[amb]}; 'nilorbits oracle "
+                         f"{text} <partition>' takes its orbits by Jordan "
+                         f"type")
     t = SimpleType.of_ambient(*amb) if amb else SimpleType.parse(text)
     return t, t.ambient
 
@@ -249,7 +260,8 @@ def main(argv=None) -> int:
         print(f"usage error: {ex}", file=sys.stderr)
         return 2
     except (KeyError, ValueError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        print(f"error: {ex.args[0] if ex.args else ex}", file=sys.stderr)
         return 2
 
 

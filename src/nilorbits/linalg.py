@@ -4,8 +4,10 @@ Products and commutators work on dense lists of lists.  rank and
 eigenspace_dim take a list of integer rows, each a dense list or a sparse
 {column: value} dict; they and solve_in_span share one elimination, which
 reduces sparse integer rows one at a time against an echelon set of
-primitive rows.  No floating point, modular or probabilistic step is
-involved anywhere.
+primitive rows.  The elimination copies on write: a row is copied when it
+is first reduced, a row that joins the echelon unchanged is kept as it is,
+and no function here changes its arguments.  No floating point, modular or
+probabilistic step is involved anywhere.
 """
 
 from __future__ import annotations
@@ -59,8 +61,10 @@ def _eliminate(rows: list[SparseRow], echelon: dict[int, SparseRow],
                stop: float = inf) -> SparseRow:
     """Reduce the rows one at a time against the echelon, a set of
     primitive integer rows keyed by leading column, and return the last
-    row as reduced.  The rows are fresh dicts of nonzero entries and are
-    changed in place.
+    row as reduced.  The rows are dicts of nonzero entries and are never
+    changed: a row is copied when it is first reduced, and a primitive row
+    that reaches a free leading column unreduced joins the echelon as it
+    is, so the echelon may share rows with the caller.
 
     While the leading column of a row holds a pivot row p and is below
     stop, the row becomes a*row - b*p, where a and b are the two leading
@@ -71,6 +75,7 @@ def _eliminate(rows: list[SparseRow], echelon: dict[int, SparseRow],
     """
     r: SparseRow = {}
     for r in rows:
+        own = False                  # r is still the caller's row
         while r:
             lead = min(r)
             piv = echelon.get(lead)  # no pivot leads at or past stop
@@ -85,6 +90,9 @@ def _eliminate(rows: list[SparseRow], echelon: dict[int, SparseRow],
             a, b = a // g, b // g
             if a != 1:
                 r = {j: a * v for j, v in r.items()}
+            elif not own:
+                r = dict(r)
+            own = True
             for j, v in piv.items():
                 x = r.get(j, 0) - b * v
                 if x:
@@ -96,12 +104,15 @@ def _eliminate(rows: list[SparseRow], echelon: dict[int, SparseRow],
 
 def rank(rows: list[Row]) -> int:
     """Exact rank of a list of integer rows, each a dense list or a sparse
-    {column: value} dict: the size of the echelon the rows reduce to."""
+    {column: value} dict: the size of the echelon the rows reduce to.  The
+    rows are not changed; a dict row without zero entries is not copied
+    unless it needs reducing."""
     width = None
     sparse = []
     for row in rows:
         if isinstance(row, dict):
-            sparse.append({j: v for j, v in row.items() if v})
+            sparse.append({j: v for j, v in row.items() if v}
+                          if 0 in row.values() else row)
             continue
         if len(row) != width:
             if width is not None:

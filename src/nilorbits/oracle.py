@@ -7,9 +7,11 @@ B, nilpotent triples are built block-by-block from Jordan strings, and
 every dimension (centralisers, kernels, grading layers) is recomputed by
 exact rank arithmetic, one h-weight block at a time.  ad e and sigma are
 never built as dense matrices: each coordinate's image is one sparse
-integer row, and linalg.rank ranks the rows of a block.  Nothing here
-consults the partition formulas or the sl2-module calculus, so agreement
-between the two paths is a real check.
+integer row, and linalg.rank ranks the rows of a block.  The triple
+relations are checked entry by entry against the diagonal of h and the
+signed permutation of the form, with [e, f] = h the one dense product.
+Nothing here consults the partition formulas or the sl2-module calculus,
+so agreement between the two paths is a real check.
 
 Basis conventions: the invariant form on a length-p Jordan string is
   <v_i, v_{p-1-i}> = (-1)^i,
@@ -27,7 +29,7 @@ from functools import cached_property
 
 from .gradings import MixedGrading, factor_jordan_types
 from .involutions import SymmetricPair
-from .linalg import (Matrix, SparseRow, commutator, eigenspace_dim, mat_mul,
+from .linalg import (Matrix, SparseRow, commutator, eigenspace_dim,
                      mat_scale, rank, solve_in_span, transpose, zeros)
 from .orbits import ClassicalOrbit, Partition
 
@@ -53,13 +55,41 @@ class SL2Triple:
     form: Matrix | None  # None for sl
 
     def check_relations(self) -> bool:
-        e, h, f, form = self.e, self.h, self.f, self.form
-        ok = (commutator(h, e) == mat_scale(e, 2) and commutator(e, f) == h
-              and commutator(h, f) == mat_scale(f, -2))
-        if ok and form is not None:
-            ok = all(mat_mul(transpose(x), form) ==
-                     mat_scale(mat_mul(form, x), -1) for x in (e, h, f))
-        return ok
+        """[h, e] = 2e, [h, f] = -2f, [e, f] = h and, for so/sp,
+        x^T B + B x = 0 for x = e, h, f.
+
+        h must be diagonal, so the first two hold when every nonzero e_ij
+        has h_i - h_j = 2 and every nonzero f_ij has h_i - h_j = -2; the
+        form must be a signed permutation (see form_perm), so the last is
+        checked entry by entry.  [e, f] = h is the one dense product."""
+        e_nz, h_nz, f_nz = ([(r, c, v) for r, row in enumerate(x)
+                             for c, v in enumerate(row) if v]
+                            for x in (self.e, self.h, self.f))
+        if any(r != c for r, c, _ in h_nz):
+            return False
+        d = self.h_diagonal
+        if any(d[r] - d[c] != 2 for r, c, _ in e_nz) or \
+                any(d[r] - d[c] != -2 for r, c, _ in f_nz):
+            return False
+        if commutator(self.e, self.f) != self.h:
+            return False
+        if self.form is None:
+            return True
+        try:
+            perm = self.form_perm
+        except ValueError:
+            return False
+        # B = sum_i b_i E_{i,p(i)}, so B x has b_i x_{p(i),j} at (i, j)
+        # and x^T B has b_k x_{k,i} at (i, p(k))
+        inv = [0] * self.n
+        for i, (c, _) in enumerate(perm):
+            inv[c] = i
+        for nz in (e_nz, h_nz, f_nz):
+            bx = {(inv[r], c): perm[inv[r]][1] * v for r, c, v in nz}
+            xtb = {(c, perm[r][0]): -perm[r][1] * v for r, c, v in nz}
+            if bx != xtb:
+                return False
+        return True
 
     @property
     def h_diagonal(self) -> list[int]:
@@ -81,45 +111,68 @@ class SL2Triple:
         under ad e of the coordinates of weight w, one sparse row each over
         the coordinates of weight w + 2 (see _weight_blocks).
 
-        ad e is X -> L X + X R: on gl_n [e, E_ij] with L = e, R = -e; on
-        so/sp, A -> -(e^T A + A e) independently of B, read off the upper
-        triangle.  e is a sum of Jordan strings, so each image has a few
-        entries, and e of h-weight 2 puts them all in weight w + 2.
+        Each image is read from the nonzero rows and columns of e.  On sl,
+        [e, E_ij] = sum_r e_ri E_rj - sum_c e_jc E_ic.  On so/sp the image
+        of A = E_ij + s E_ji (s = -1 on so, +1 on sp; A = E_ii for i = j)
+        is -(e^T A + A e) = N + s N^T with N = -A e, whose rows i and j
+        are -e_j and -s e_i; an entry v of N at (r, c) adds v to the
+        coordinate (r, c) and s v to the coordinate (c, r), whichever of
+        them exists (both, adding 2v, on the diagonal of sp).  e is a sum
+        of Jordan strings, so each image has a few entries, and e of
+        h-weight 2 puts them all in weight w + 2.
         """
         kind, n, h = self.kind, self.n, self.h_diagonal
         blocks = _weight_blocks(kind, h)
-        pos: list[int | None] = [None] * (n * n)  # (i, j) at i * n + j
-        for cs in blocks.values():
-            for k, (i, j) in enumerate(cs):
-                pos[i * n + j] = k
         e_rows = [[(c, v) for c, v in enumerate(row) if v] for row in self.e]
         if any(h[r] - h[c] != 2 for r, row in enumerate(e_rows)
                for c, _ in row):
             raise RuntimeError("e is not of h-weight 2")
-        # the nonzeros of column a of L as (row * n, value)
-        if kind == "sl":
-            l_cols = [[(r * n, v) for r, v in enumerate(col) if v]
-                      for col in zip(*self.e)]
-        else:                        # the columns of -e^T are the rows of -e
-            l_cols = [[(c * n, -v) for c, v in row] for row in e_rows]
-        r_rows = [[(c, -v) for c, v in row] for row in e_rows]
-        sign = -1 if kind == "so" else 1
         ad: dict[int, list[SparseRow]] = {}
+        if kind == "sl":
+            # e has no diagonal entry, so the two sums never meet
+            index = {i * n + j: k for cs in blocks.values()
+                     for k, (i, j) in enumerate(cs)}
+            e_cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+            for r, row in enumerate(e_rows):
+                for c, v in row:
+                    e_cols[c].append((r * n, v))
+            for w, cs in blocks.items():
+                rows = []
+                for i, j in cs:
+                    row = {index[rn + j]: v for rn, v in e_cols[i]}
+                    for c, v in e_rows[j]:
+                        row[index[i * n + c]] = -v
+                    rows.append(row)
+                ad[w] = rows
+            return n * n, ad
+        s = -1 if kind == "so" else 1
+        # an entry v of N at (r, c) adds x * v to coordinate k, where
+        # (k, x) = index[r * n + c]
+        index: dict[int, tuple[int, int]] = {}
+        for cs in blocks.values():
+            for k, (i, j) in enumerate(cs):
+                if i == j:
+                    index[i * n + i] = (k, 2)
+                else:
+                    index[i * n + j] = (k, 1)
+                    index[j * n + i] = (k, s)
+
+        def put(row: SparseRow, r: int, u: int, t: int):
+            # t times row u of e as row r of N; e has no diagonal entry,
+            # so no two entries of N land on one coordinate
+            for c, v in e_rows[u]:
+                hit = index.get(r * n + c)
+                if hit is not None:
+                    row[hit[0]] = hit[1] * t * v
+
         for w, cs in blocks.items():
             rows = []
             for i, j in cs:
                 row: SparseRow = {}
-                for a, b, s in ((i, j, 1),) if kind == "sl" or i == j else \
-                        ((i, j, 1), (j, i, sign)):  # A = E_ij +- E_ji
-                    for rn, v in l_cols[a]:
-                        k = pos[rn + b]
-                        if k is not None:
-                            row[k] = row.get(k, 0) + s * v
-                    for c, v in r_rows[b]:
-                        k = pos[a * n + c]
-                        if k is not None:
-                            row[k] = row.get(k, 0) + s * v
-                rows.append({k: v for k, v in row.items() if v})
+                put(row, i, j, -1)
+                if i != j:
+                    put(row, j, i, -s)
+                rows.append(row)
             ad[w] = rows
         return sum(map(len, blocks.values())), ad
 
@@ -346,20 +399,30 @@ def _sigma_blocks(rp: RealizedPair) -> dict[int, list[SparseRow]]:
     matrix k as a sparse row of its coordinates (the transpose of the
     matrix of sigma, which has the same eigenspace dimensions).
 
-    sigma sends a basis matrix to +- a basis matrix, found by its entries;
-    only the other images (the Cartan part of outer sl pairs) are solved
-    for in the span of the block."""
+    sigma sends a basis matrix to +- a basis matrix: first tried as +- the
+    same matrix, which covers every inner pair, then (outer sl) found by its
+    entries in an index of the block built on the first miss.  Only the
+    other images (the Cartan part of outer sl pairs) are solved for in the
+    span of the block."""
     n = rp.triple.n
     out: dict[int, list[SparseRow]] = {}
     for w, mats in _sigma_basis(rp).items():
-        index = {}
-        for k, x in enumerate(mats):
-            index[frozenset(x.items())] = (k, 1)
-            index[frozenset((rc, -v) for rc, v in x.items())] = (k, -1)
-        dense = None
+        index = dense = None
         rows = []
-        for x in mats:
+        for k, x in enumerate(mats):
             y = rp.sigma_entries(x)
+            if y == x:
+                rows.append({k: 1})
+                continue
+            if y == {rc: -v for rc, v in x.items()}:
+                rows.append({k: -1})
+                continue
+            if index is None:
+                index = {}
+                for m, z in enumerate(mats):
+                    index[frozenset(z.items())] = (m, 1)
+                    index[frozenset((rc, -v) for rc, v in z.items())] = \
+                        (m, -1)
             hit = index.get(frozenset(y.items()))
             if hit is not None:
                 rows.append({hit[0]: hit[1]})

@@ -198,6 +198,31 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "grade", "sp7/gl3")[0] == 2
 
 
+@pytest.mark.parametrize("command", ["wdd", "catalog"])
+@pytest.mark.parametrize("name", ["so3", "so4", "so6", "sp2"])
+def test_small_matrix_names_are_usage_errors(capsys, command, name):
+    # no Cartan label of the typed kind exists (B1, D2, D3, C1): the
+    # message names what was typed, not a type the user never gave
+    argv = [command, name] + (["(1)"] if command == "wdd" else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and name in err
+    assert f"nilorbits oracle {name} <partition>" in err
+    assert "family" not in err and "Traceback" not in err
+
+
+def test_pair_over_small_matrix_name_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "grade", "so6/so5+so1")
+    assert (code, out) == (2, "")
+    assert "so6" in err and "D3" not in err
+
+
+def test_key_error_message_is_not_quoted(capsys):
+    code, out, err = run(capsys, "wdd", "E6", "foo")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: no orbit record 'foo' for E6;"), err
+
+
 # small sizes only: a free-text token carries no digits, so no argv asks
 # for a huge matrix or rank
 _COMMANDS = [["wdd"], ["orbit"], ["grade"], ["upsilon"], ["catalog"],

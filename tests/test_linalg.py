@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from fractions import Fraction
@@ -97,6 +98,40 @@ def test_rank_rejects_ragged_rows():
         rank([[1, 2, 3], [4, 5]])
     with pytest.raises(ValueError, match="differ in length"):
         rank([[0, 0], [1, 2, 3]])       # a zero row is still a row
+
+
+def test_inputs_are_not_changed():
+    # the elimination copies a row only when it first reduces it, and keeps
+    # an unreduced row as it is, so no call may write to what it was given
+    rng = random.Random(20247)
+    for trial in range(300):
+        n = rng.randint(2, 7)
+        m = [{j: rng.choice([-3, -2, -1, 1, 2, 3])
+              for j in rng.sample(range(n), rng.randint(1, n))}
+             for _ in range(n)]
+        if trial % 2:                      # a dependent row
+            m[-1] = {j: v for j in range(n)
+                     if (v := 2 * m[0].get(j, 0) - m[1].get(j, 0))}
+        if trial % 5 == 0:                 # an explicit zero
+            m[0][n - 1] = 0
+        dense = [[r.get(j, 0) for j in range(n)] for r in m]
+        want = gauss_jordan_rank(dense)
+        shifted = [[v - (i == j) for j, v in enumerate(row)]
+                   for i, row in enumerate(dense)]
+        want_eig = n - gauss_jordan_rank(shifted)
+        for rows in (m, dense):
+            before = copy.deepcopy(rows)
+            assert rank(rows) == rank(rows) == want
+            assert eigenspace_dim(rows, 1) == want_eig
+            assert rows == before
+        basis = [[row] for row in dense[:-1]]
+        target = [dense[-1]]
+        before = copy.deepcopy((basis, target))
+        try:
+            solve_in_span(basis, target)
+        except ValueError:
+            pass
+        assert (basis, target) == before
 
 
 def test_eigenspace_dim_of_dense_and_dict_rows():

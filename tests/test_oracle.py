@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -5,14 +6,15 @@ import pytest
 from nilorbits import oracle, verify
 from nilorbits.gradings import decompose, decompose_classical, grading_grid
 from nilorbits.involutions import catalog, pair_by_descriptor
-from nilorbits.linalg import commutator, mat_mul, rank
+from nilorbits.linalg import (commutator, mat_mul, mat_scale, mat_sub, rank,
+                              transpose, zeros)
 from nilorbits.orbits import (ClassicalOrbit, Partition, centralizer_dims,
                               half_orbit, is_divisible, valid_partitions)
 from nilorbits.oracle import (RealizedPair, SL2Triple, centralizer_dim,
                               ker_ad_squared, oracle_grid, oracle_sizes,
                               realize_pair, triple_from_partition)
 from nilorbits.roots import SimpleType, all_simple_types
-from nilorbits.verify import suite_oracle
+from nilorbits.verify import suite_oracle, swept_pairs
 
 
 def P(text):
@@ -39,6 +41,121 @@ def test_triple_relations_everywhere():
     for kind, n, lam in cases:
         t = triple_from_partition(kind, n, P(lam))
         assert t.check_relations(), (kind, n, lam)
+
+
+def dense_relations(t):
+    """Reference for SL2Triple.check_relations by dense products:
+    [h, e] = 2e, [e, f] = h, [h, f] = -2f and, with a form,
+    x^T B = -B x for x = e, h, f."""
+    e, h, f, form = t.e, t.h, t.f, t.form
+    ok = (commutator(h, e) == mat_scale(e, 2) and commutator(e, f) == h
+          and commutator(h, f) == mat_scale(f, -2))
+    if ok and form is not None:
+        ok = all(mat_mul(transpose(x), form) ==
+                 mat_scale(mat_mul(form, x), -1) for x in (e, h, f))
+    return ok
+
+
+def relabelled(t, perm):
+    """t in the basis reordered by perm."""
+    def relabel(m):
+        return None if m is None else \
+            [[m[a][b] for b in perm] for a in perm]
+
+    return SL2Triple(t.kind, t.n, relabel(t.e), relabel(t.h), relabel(t.f),
+                     relabel(t.form))
+
+
+def oracle_triples(max_n):
+    """Every triple_from_partition of oracle_sizes(max_n) and every
+    realize_pair triple of the classical pairs the oracle suite sweeps."""
+    out = [triple_from_partition(kind, n, o.partition)
+           for kind, ns in oracle_sizes(max_n).items() for n in ns
+           for o in valid_partitions(kind, n)]
+    out += [realize_pair(p).triple
+            for p in swept_pairs(max_n - 1, include_exceptional=False)
+            if p.g.ambient[1] <= max_n]
+    return out
+
+
+def test_relations_match_the_dense_reference():
+    rng = random.Random(20248)
+    triples = oracle_triples(9)
+    assert len(triples) >= 200
+    for t in triples:
+        assert t.check_relations() is dense_relations(t) is True, t
+        u = relabelled(t, rng.sample(range(t.n), t.n))
+        assert u.check_relations() is dense_relations(u) is True, u
+
+
+def _first_nonzero(m, default):
+    return next(((r, c) for r, row in enumerate(m) for c, v in enumerate(row)
+                 if v), default)
+
+
+def relation_mutants(t):
+    """(name, triple) of copies of t with one entry changed, and with f
+    added to e or e to f, which keeps [e, f] = h and the form.  Every
+    mutant but the last breaks a relation of dense_relations; the last has
+    a form that is not a signed permutation."""
+    for name, e, f in (("e + f", mat_sub(t.e, mat_scale(t.f, -1)), t.f),
+                       ("f + e", t.e, mat_sub(t.f, mat_scale(t.e, -1)))):
+        yield name, SL2Triple(t.kind, t.n, e, t.h, f, t.form)
+    edits = [("e entry", "e", _first_nonzero(t.e, (0, 1)), 1),
+             ("f entry", "f", _first_nonzero(t.f, (1, 0)), 1),
+             ("h entry", "h", (0, 0), 1),
+             ("h off the diagonal", "h", (0, t.n - 1), 1)]
+    if t.form is not None:
+        # a sign flipped in the row of the form that meets the first
+        # nonzero entry of e
+        r = _first_nonzero(t.e, (0, 0))[0]
+        c = next(j for j, v in enumerate(t.form[r]) if v)
+        edits += [("form sign", "form", (r, c), -2 * t.form[r][c]),
+                  ("form not a signed permutation", "form", (0, 0), 1)]
+    for name, attr, (r, c), delta in edits:
+        u = copy.deepcopy(t)
+        getattr(u, attr)[r][c] += delta
+        yield name, u
+
+
+def test_relation_mutants_fail():
+    checked = 0
+    for t in oracle_triples(9):
+        if not any(map(any, t.e)):
+            continue
+        for name, u in relation_mutants(t):
+            assert u.check_relations() is False, (name, u)
+            if name != "form not a signed permutation":
+                assert dense_relations(u) is False, (name, u)
+            checked += 1
+    assert checked >= 1300
+
+
+def test_an_h_off_the_diagonal_is_refused():
+    # E_12 in f has weight -2 and adds E_02 - E_13, of weight 0, to
+    # [e, f]: every entry of e and f has the weight the diagonal of h
+    # gives it and [e, f] = h, so only the diagonal check refuses h
+    e = [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
+    h = [[1, 0, 1, 0], [0, -1, 0, -1], [0, 0, 1, 0], [0, 0, 0, -1]]
+    f = [[0, 0, 0, 0], [1, 0, 1, 0], [0, 0, 0, 0], [0, 0, 1, 0]]
+    t = SL2Triple("sl", 4, e, h, f, None)
+    assert commutator(e, f) == h
+    assert dense_relations(t) is False and t.check_relations() is False
+
+
+def test_oracle_grid_rejects_a_tampered_triple(monkeypatch):
+    real = oracle.realize_pair
+
+    def tampered(*args):
+        rp = real(*args)
+        r, c = _first_nonzero(rp.triple.f, None)
+        rp.triple.f[r][c] *= 2
+        return rp
+
+    monkeypatch.setattr(oracle, "realize_pair", tampered)
+    p = pair_by_descriptor(SimpleType("B", 3), "so4+so3")
+    with pytest.raises(RuntimeError, match="triple relations failed"):
+        oracle_grid(p)
 
 
 def test_h_eigenvalues():
@@ -151,15 +268,56 @@ def test_kernels_do_not_depend_on_the_order_of_the_basis():
         want = (centralizer_dim(t), ker_ad_squared(t))
         for _ in range(5):
             perm = rng.sample(range(n), n)
-
-            def relabel(m):
-                return None if m is None else \
-                    [[m[a][b] for b in perm] for a in perm]
-
-            u = SL2Triple(kind, n, relabel(t.e), relabel(t.h), relabel(t.f),
-                          relabel(t.form))
+            u = relabelled(t, perm)
             assert u.check_relations(), (kind, n, lam, perm)
             assert (centralizer_dim(u), ker_ad_squared(u)) == want, perm
+
+
+def test_ad_blocks_match_dense_images():
+    # row k of block w is the image under ad e of coordinate k, computed
+    # densely ([e, E_ij] on sl, -(e^T A + A e) with A = E_ij +- E_ji on
+    # so/sp) and read off at the coordinates of weight w + 2
+    rng = random.Random(20249)
+    for t in oracle_triples(8):
+        for u in (t, relabelled(t, rng.sample(range(t.n), t.n))):
+            blocks = oracle._weight_blocks(u.kind, u.h_diagonal)
+            size, ad = u.ad_blocks
+            assert size == sum(map(len, blocks.values()))
+            for w, cs in blocks.items():
+                rows = []
+                for i, j in cs:
+                    a = zeros(u.n, u.n)
+                    a[i][j] = 1
+                    if u.kind == "sl":
+                        img = commutator(u.e, a)
+                    else:
+                        if i != j:
+                            a[j][i] = -1 if u.kind == "so" else 1
+                        img = mat_sub(mat_scale(mat_mul(transpose(u.e), a),
+                                                -1), mat_mul(a, u.e))
+                    rows.append({k: img[r][c] for k, (r, c) in
+                                 enumerate(blocks.get(w + 2, []))
+                                 if img[r][c]})
+                assert ad[w] == rows, (u, w)
+
+
+def test_kernel_dims_do_not_depend_on_the_call_order():
+    # rank reads the cached ad e rows without copying them, so it must not
+    # change them
+    for kind, ns in oracle_sizes(8).items():
+        for n in ns:
+            for o in valid_partitions(kind, n):
+                a = triple_from_partition(kind, n, o.partition)
+                b = triple_from_partition(kind, n, o.partition)
+                rows = copy.deepcopy(a.ad_blocks)
+                first = [centralizer_dim(a), ker_ad_squared(a),
+                         centralizer_dim(a), ker_ad_squared(a)]
+                second = [ker_ad_squared(b), centralizer_dim(b),
+                          ker_ad_squared(b), centralizer_dim(b)]
+                want = [centralizer_dims(o)[0],
+                        kernel_dim(kind, o.partition.parts, 2)]
+                assert (first, second) == (want * 2, want[::-1] * 2), o
+                assert a.ad_blocks == rows, o
 
 
 def test_ad_blocks_built_once_per_triple(monkeypatch):
