@@ -35,7 +35,7 @@ def _matrix_name(text: str) -> tuple[str, int] | None:
     anything else."""
     kind, size = text[:2].lower(), text[2:]
     return (kind, int(size)) if kind in ("sl", "so", "sp") and \
-        size.isdigit() else None
+        size.isdecimal() else None
 
 
 # matrix names of small rank that have no Cartan label of their own kind
@@ -53,7 +53,14 @@ def parse_ambient(text: str) -> tuple[SimpleType, tuple[str, int] | None]:
         raise UsageError(f"{text} {_SMALL_AMBIENTS[amb]}; 'nilorbits oracle "
                          f"{text} <partition>' takes its orbits by Jordan "
                          f"type")
-    t = SimpleType.of_ambient(*amb) if amb else SimpleType.parse(text)
+    if amb is None:
+        t = SimpleType.parse(text)
+        return t, t.ambient
+    try:
+        t = SimpleType.of_ambient(*amb)
+    except ValueError:
+        raise UsageError(f"{text} names no simple type: sl_n needs n >= 2, "
+                         "so_n n = 5 or n >= 7, sp_n even n >= 4") from None
     return t, t.ambient
 
 

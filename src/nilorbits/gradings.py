@@ -404,9 +404,9 @@ def divisibility_report(pd: PairDecomposition,
         divisible = bool(rec.divisible)
         e_ad = rec.red_type == "0" or rec.red_type.startswith("t")
         # the reductive centraliser of e/2 lives in degree 0 of the halved
-        # grading and has dimension d(0) - d(4); the records guarantee it
-        # is toral exactly for the divisible cases
-        half_ad = divisible
+        # grading and has dimension d(0) - d(4); a reductive algebra of
+        # dimension <= 2 is a torus
+        half_ad = mg.total(0) - mg.total(4) <= 2
         half_part = None
     return DivisibilityReport(
         pair=pd.pair, grid_equalities=grid_eq, no_r2_in_odd_part=no_r2,

@@ -36,7 +36,11 @@ class Partition:
     @staticmethod
     def parse(text: str) -> "Partition":
         inner = text.strip().strip("()[]")
-        parts = tuple(int(p) for p in re.split(r"[\s,]+", inner) if p)
+        try:
+            parts = tuple(int(p) for p in re.split(r"[\s,]+", inner) if p)
+        except ValueError:
+            raise ValueError(f"cannot parse partition from {text!r}: parts "
+                             "must be integers") from None
         return Partition(tuple(sorted(parts, reverse=True)))
 
     @property

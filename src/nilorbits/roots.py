@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
-from typing import Iterable
 
 _RANK_BOUNDS = {
     "A": (1, None),
@@ -61,7 +60,8 @@ class SimpleType:
     @staticmethod
     def parse(text: str) -> "SimpleType":
         text = text.strip()
-        if not text or text[0].upper() not in "ABCDEFG":
+        if len(text) < 2 or text[0].upper() not in "ABCDEFG" \
+                or not text[1:].isdecimal():
             raise ValueError(f"cannot parse simple type from {text!r}")
         return SimpleType(text[0].upper(), int(text[1:]))
 
@@ -130,18 +130,21 @@ class SimpleType:
             bond(0, 1, aij=-3, aji=-1)      # alpha_1 short
         return tuple(tuple(row) for row in a)
 
+    @cache
     def root_lengths(self) -> tuple[int, ...]:
-        """Half squared norms (alpha_i, alpha_i)/2; long roots score highest."""
-        n = self.rank
-        if self.family == "B":
-            return tuple([2] * (n - 1) + [1])
-        if self.family == "C":
-            return tuple([1] * (n - 1) + [2])
-        if self.family == "F":
-            return (1, 1, 2, 2)
-        if self.family == "G":
-            return (1, 3)
-        return tuple([1] * n)
+        """Half squared norms d_i = (alpha_i, alpha_i)/2, short roots 1: the
+        Cartan symmetriser d_i a_ij = d_j a_ji (Bourbaki, Lie groups and Lie
+        algebras, ch. VI, 1.1), carried along the bonds from node 0."""
+        a, d = self.cartan_matrix(), {0: 6}    # 6: every bond ratio divides
+        todo = [0]
+        while todo:
+            i = todo.pop()
+            for j in self.adjacency()[i]:
+                if j not in d:
+                    d[j] = d[i] * a[i][j] // a[j][i]
+                    todo.append(j)
+        low = min(d.values())
+        return tuple(d[i] // low for i in range(self.rank))
 
     def short_nodes(self) -> frozenset[int]:
         lengths = self.root_lengths()
@@ -154,13 +157,6 @@ class SimpleType:
         n = self.rank
         return tuple(frozenset(j for j in range(n) if j != i and a[i][j] != 0)
                      for i in range(n))
-
-    def branch_node(self) -> int | None:
-        """The unique node with three neighbours (D and E types)."""
-        for i, nb in enumerate(self.adjacency()):
-            if len(nb) == 3:
-                return i
-        return None
 
     def to_json(self) -> dict:
         return {"family": self.family, "rank": self.rank}
@@ -211,7 +207,6 @@ class RootSystem:
         self.type = type
         self.positive_roots = positive_roots
         self.parents = parents
-        self._index = {r.coeffs: r for r in positive_roots}
         self.simple_roots = tuple(r for r in positive_roots if r.height == 1)
         self.highest_root = max(positive_roots, key=lambda r: r.height)
 
@@ -219,19 +214,13 @@ class RootSystem:
     def rank(self) -> int:
         return self.type.rank
 
-    def __contains__(self, root: Root) -> bool:
-        c = root.coeffs
-        if all(x <= 0 for x in c):
-            c = tuple(-x for x in c)
-        return c in self._index
-
     def norm2(self, root: Root) -> int:
         """(root, root), normalised so short simple roots have norm 2."""
-        d = self.type.root_lengths()
-        a = self.type.cartan_matrix()
-        c = root.coeffs
-        return sum(c[i] * c[j] * d[i] * a[i][j]
-                   for i in range(self.rank) for j in range(self.rank))
+        t, c = self.type, root.coeffs
+        d, a, adj = t.root_lengths(), t.cartan_matrix(), t.adjacency()
+        return sum(c[i] * d[i] * (2 * c[i] + sum(a[i][j] * c[j]
+                                                 for j in adj[i]))
+                   for i in range(self.rank) if c[i])
 
     def weighted_heights(self, labels) -> list[int]:
         """<root, labels> for each positive root, in root order: one add
@@ -342,58 +331,53 @@ def principal_layer(rs: RootSystem, i: int) -> tuple[Root, ...]:
 
 
 def beta_root(rs: RootSystem) -> Root:
-    """The long height-4 root completing the height-2 layer to a base of the
-    even-height subsystem.
+    """The one height-4 root that is not a sum of two height-2 roots: with
+    the height-2 roots it forms the base of the even-height subsystem.
+    There is none for types A and C (and B2 = C2); it must be long.
+    """
+    layer2 = [r.coeffs for r in rs.roots_of_height(2)]
+    sums = {tuple(a + b for a, b in zip(x, y)) for x in layer2 for y in layer2}
+    found = [r for r in rs.roots_of_height(4) if r.coeffs not in sums]
+    if not found:
+        raise ValueError(f"beta root is not defined for type {rs.type}")
+    if len(found) > 1 or not rs.is_long(found[0]):
+        raise RuntimeError(f"{rs.type}: height-4 roots outside the height-2 "
+                           f"sums {[str(r) for r in found]} are not one "
+                           "long root")
+    return found[0]
 
-    Defined when the fixed algebra of the principal inner involution is
-    semisimple, which excludes types A and C (and B2 = C2).
+
+def principal_inner_labels(rs: RootSystem) -> tuple[int, ...]:
+    """D(e_sigma) for the principal inner involution: <alpha_i, 2 rho_0^vee>
+    with rho_0^vee half the sum of the positive coroots of g0, whose roots
+    are those of even height (Collingwood--McGovern 3.8).  As <alpha_i,
+    beta^vee> = sum_k c_k(beta) d_i a_ik / d_beta, the coefficient vectors
+    are summed first, weighted by top/d_beta, then paired once.
     """
     t = rs.type
-    if t.family in ("A", "C") or (t.family == "B" and t.rank == 2):
-        raise ValueError(f"beta root is not defined for type {t}")
-    n = t.rank
-    if t.family == "B":
-        coeffs = [0] * n
-        coeffs[n - 3] = 1
-        coeffs[n - 2] = 1
-        coeffs[n - 1] = 2
-    elif t.family == "F":
-        coeffs = [0, 2, 1, 1]
-    elif t.family == "G":
-        coeffs = [3, 1]
-    else:  # D and E: branch node plus its three neighbours
-        delta = t.branch_node()
-        coeffs = [0] * n
-        coeffs[delta] = 1
-        for j in t.adjacency()[delta]:
-            coeffs[j] = 1
-    beta = Root(tuple(coeffs))
-    if not (beta in rs and beta.height == 4 and rs.is_long(beta)):
-        raise RuntimeError(f"beta {beta} is not a long height-4 root of {t}")
-    layer2 = rs.roots_of_height(2)
-    for x in layer2:
-        rest = tuple(b - a for a, b in zip(x.coeffs, beta.coeffs))
-        if any(rest) and all(c >= 0 for c in rest) and Root(rest) in rs \
-                and sum(rest) == 2:
-            raise AssertionError(f"beta {beta} splits as a sum of two "
-                                 f"height-2 roots in {t}")
-    return beta
+    n, a, d = t.rank, t.cartan_matrix(), t.root_lengths()
+    top = max(d)
+    v = [0] * n
+    for r in rs.positive_roots:
+        if r.height % 2 == 0:
+            w = 2 * top // rs.norm2(r)
+            for k, c in enumerate(r.coeffs):
+                v[k] += w * c
+    labels = tuple(d[i] * sum(a[i][k] * v[k] for k in range(n)) // top
+                   for i in range(n))
+    if min(labels, default=0) < 0:
+        raise RuntimeError(f"{t}: even-height coroots give labels {labels}")
+    return labels
 
 
-def all_simple_types(max_rank: int, families: Iterable[str] = "ABCDEFG"
-                     ) -> list[SimpleType]:
-    """Every valid simple type with rank <= max_rank, in a fixed order."""
+def all_simple_types(max_rank: int) -> list[SimpleType]:
+    """Every type `SimpleType` accepts with rank <= max_rank, family by
+    family in the order A, B, C, D, E, F, G, then by rank."""
     out = []
-    for fam in families:
-        if fam == "E":
-            out.extend(SimpleType("E", r) for r in (6, 7, 8) if r <= max_rank)
-        elif fam == "F":
-            if max_rank >= 4:
-                out.append(SimpleType("F", 4))
-        elif fam == "G":
-            if max_rank >= 2:
-                out.append(SimpleType("G", 2))
-        else:
-            lo, _ = _RANK_BOUNDS[fam]
-            out.extend(SimpleType(fam, r) for r in range(lo, max_rank + 1))
+    for fam in "ABCDEFG":
+        for r in range(1, max_rank + 1):
+            try:
+                out.append(SimpleType(fam, r))
+            except ValueError:
+                pass
     return out

@@ -25,7 +25,8 @@ from .orbits import (ClassicalOrbit, Partition, all_partitions,
 from .oracle import (centralizer_dim, ker_ad_squared, oracle_grid,
                      oracle_sizes, triple_from_partition)
 from .roots import (SimpleType, all_simple_types, build_root_system,
-                    coxeter_number, kappa_direct, kappa_root_count)
+                    coxeter_number, kappa_direct, kappa_root_count,
+                    principal_inner_labels)
 from .sl2 import SL2Module
 
 
@@ -103,15 +104,6 @@ _TABLE_EXCEPTIONAL = [
     ("G2", "A1+A1~", "G2(a1)", 4, "0", 4),
 ]
 
-_TABLE_1_WDD = {
-    "E6": (2, 0, 0, 2, 0, 2),
-    "E7": (2, 0, 0, 2, 0, 2, 0),
-    "E8": (2, 0, 0, 2, 0, 2, 0, 2),
-    "F4": (2, 0, 2, 0),
-    "G2": (0, 2),
-}
-
-
 def _classical_pi_row(t: SimpleType):
     """(partition, labels, dim, red string, nil) predicted by the table of
     principal inner involutions for classical types."""
@@ -174,12 +166,18 @@ def suite_tables(max_rank: int = 8) -> VerificationReport:
         pi = pi_involution(t)
         rep.add(f"{ts} PI", "fixed algebra", g0, pi.descriptor)
         pd = decompose(pi)
-        rep.add(f"{ts} PI orbit", "Bala-Carter label", label, pd.orbit_label)
+        d_sigma = principal_inner_labels(build_root_system(t))
+        hits = [lbl for (rts, lbl), rec in exc.ORBITS.items()
+                if rts == ts and rec.wdd.labels == d_sigma]
+        rep.add(f"{ts} PI orbit", "label of the one record with diagram "
+                "<alpha_i, 2 rho_0^vee>", label,
+                hits[0] if len(hits) == 1 else None)
         rec = exc.exceptional_lookup(t, label)
-        rep.add(f"{ts} {label}", "(dim, red, nil)", (dim, red, nil),
+        rep.add(f"{ts} {label}", "(dim, red, nil) from the diagram layers",
+                (dim, red, nil),
                 (rec.dim_centralizer, rec.red_type, rec.dim_nil))
-        rep.add(f"{ts} {label} wdd", "diagram labels", _TABLE_1_WDD[ts],
-                rec.wdd.labels)
+        rep.add(f"{ts} {label} wdd", "diagram labels: <alpha_i, 2 rho_0^vee> "
+                "vs the pair's orbit record", d_sigma, pd.ambient_wdd().labels)
         mg = grading_grid(pd)
         rep.add(f"{ts} PI grid", "grid/record centraliser dims agree",
                 (dim, rec.dim_red, nil),

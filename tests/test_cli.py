@@ -211,6 +211,25 @@ def test_small_matrix_names_are_usage_errors(capsys, command, name):
     assert "family" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,typed", [
+    (["wdd", "sl0", "(1)"], "sl0"),
+    (["wdd", "sl1", "(1)"], "sl1"),
+    (["wdd", "so1", "(1)"], "so1"),
+    (["wdd", "so2", "(1,1)"], "so2"),
+    (["wdd", "sp0", "()"], "sp0"),
+    (["catalog", "E"], "'E'"),
+    (["catalog", "A"], "'A'"),
+    (["wdd", "A2", "E6"], "'E6'"),
+    (["wdd", "sl3", "(3,a)"], "'(3,a)'"),
+])
+def test_bad_names_are_named_in_the_error(capsys, argv, typed):
+    # the message names what was typed, not a Cartan type or an int()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert typed in err, err
+    assert "family" not in err and "int()" not in err, err
+
+
 def test_pair_over_small_matrix_name_is_a_usage_error(capsys):
     code, out, err = run(capsys, "grade", "so6/so5+so1")
     assert (code, out) == (2, "")

@@ -4,16 +4,18 @@ diagram is the unique even dominant label vector whose layer dimensions
 match the published module structure, and the centraliser data follows
 from the grid."""
 
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
-from nilorbits.exceptional import (ORBITS, ExceptionalOrbit,
-                                   exceptional_lookup)
+from nilorbits.exceptional import ORBITS, exceptional_lookup
 from nilorbits.gradings import decompose
 from nilorbits.involutions import catalog, pair_by_descriptor
+from nilorbits.orbits import WeightedDynkinDiagram
 from nilorbits.roots import SimpleType, build_root_system
 from nilorbits.sl2 import SL2Module
+from nilorbits.verify import suite_tables
 from rootdata import EXPONENTS
 
 # (ambient, g0) -> (M0, M1, Bala-Carter label of e regular in g0), as
@@ -98,12 +100,23 @@ def test_orbit_records_consistent(key):
     assert wdd.has_only_isolated_zeros()
 
 
-def test_inconsistent_record_raises():
-    rec = ORBITS[("E6", "D5")]
-    with pytest.raises(ValueError, match=r"dim g\^e = 10"):
-        ExceptionalOrbit(rec.type, rec.bala_carter_label, rec.wdd,
-                         dim_centralizer=10, red_type="t1", dim_red=1,
-                         dim_nil=8)
+def test_tampered_record_fails_the_tables_suite(monkeypatch):
+    # a wrong E8(a4) diagram must show in every tables case that reads it;
+    # the tampered diagram still contains M0 of E8/D8, so decompose builds
+    # a decomposition from it instead of raising
+    key = ("E8", "E8(a4)")
+    tampered = WeightedDynkinDiagram(ORBITS[key].type,
+                                     (2, 0, 0, 2, 0, 0, 2, 2))
+    monkeypatch.setitem(ORBITS, key, replace(ORBITS[key], wdd=tampered))
+    decompose.cache_clear()
+    try:
+        rep = suite_tables()
+    finally:
+        decompose.cache_clear()
+    passed = {c.case_id: c.passed for c in rep.cases}
+    for case_id in ("E8 E8(a4)", "E8 E8(a4) wdd", "E8 PI orbit"):
+        assert passed[case_id] is False, case_id
+    assert passed["E7 PI orbit"] and passed["E8 PI"]
 
 
 def test_lookup_errors_list_known_labels():

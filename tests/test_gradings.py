@@ -6,9 +6,9 @@ from nilorbits.gradings import (check_02, check_04, check_4k2,
                                 collapsing_defect, d00_closed_form,
                                 decompose, decompose_classical,
                                 decompose_exceptional, dim_fixed_check,
-                                dim_fixed_cross, grading_grid,
-                                regular_e_partition, divisibility_report,
-                                upsilon)
+                                dim_fixed_cross, divisibility_report,
+                                grading_grid, MixedGrading,
+                                regular_e_partition, upsilon)
 from nilorbits.involutions import catalog, pair_by_descriptor
 from nilorbits.orbits import Partition
 from nilorbits.roots import SimpleType, all_simple_types
@@ -162,6 +162,20 @@ def test_divisibility_report_passes():
     rep = divisibility_report(pd)
     assert rep.all_pass
     assert rep.half_partition.parts == (3, 2, 1)
+
+
+def test_half_almost_distinguished_read_from_the_grid():
+    # E6/C4 with d1(0) raised from 4 to 6: d0(0) = d1(4) = 4 still holds,
+    # but the reductive centraliser of e/2 has dimension
+    # total(0) - total(4) = 10 - 7 = 3, too big for a torus
+    pd = decompose(pair("E6", "C4"))
+    mg = grading_grid(pd)
+    assert mg.total(0) - mg.total(4) == 1
+    row1 = (6,) + mg.row1[1:]
+    crafted = MixedGrading(mg.row0, row1)
+    assert check_04(crafted) and crafted.total(0) - crafted.total(4) == 3
+    assert "half_almost_distinguished" in \
+        divisibility_report(pd, crafted).failures()
 
 
 def test_divisibility_report_requires_check04():

@@ -2,9 +2,13 @@ from collections import Counter
 
 import pytest
 
+from nilorbits.gradings import decompose
+from nilorbits.involutions import pi_involution
 from nilorbits.roots import (Root, SimpleType, all_simple_types,
                              beta_root, build_root_system, coxeter_number,
-                             kappa_direct, kappa_root_count, principal_layer)
+                             kappa_direct, kappa_root_count,
+                             principal_inner_labels, principal_layer)
+from nilorbits.verify import _classical_pi_row
 from rootdata import EXPONENTS
 
 
@@ -199,6 +203,82 @@ def test_beta_not_sum_of_layer2():
                 assert tuple(a + b for a, b in zip(x.coeffs, y.coeffs)) \
                     != beta.coeffs
         assert rs.is_long(beta)
+
+
+# The rules below are the hand-written ones the root system now derives;
+# they stay here as references for the derivations.
+
+def _family_beta(t):
+    """beta by family: B_n: a_{n-2} + a_{n-1} + 2 a_n; F4: (0,2,1,1);
+    G2: (3,1); D and E: the branch node plus its three neighbours; None for
+    A, C and B2."""
+    n = t.rank
+    if t.family in ("A", "C") or (t.family, n) == ("B", 2):
+        return None
+    if t.family == "B":
+        return (0,) * (n - 3) + (1, 1, 2)
+    if t.family == "F":
+        return (0, 2, 1, 1)
+    if t.family == "G":
+        return (3, 1)
+    adj = t.adjacency()
+    branch = next(i for i in range(n) if len(adj[i]) == 3)
+    return tuple(int(i == branch or i in adj[branch]) for i in range(n))
+
+
+def _length_table(t):
+    """Half squared norms of the simple roots, short roots 1."""
+    n = t.rank
+    return {"B": (2,) * (n - 1) + (1,), "C": (1,) * (n - 1) + (2,),
+            "F": (1, 1, 2, 2), "G": (1, 3)}.get(t.family, (1,) * n)
+
+
+def _enumerated_types(max_rank):
+    """A_n (n >= 1), B_n and C_n (n >= 2), D_n (n >= 4), E6-E8, F4, G2."""
+    low = {"A": 1, "B": 2, "C": 2, "D": 4}
+    out = [SimpleType(f, r) for f in "ABCD"
+           for r in range(low[f], max_rank + 1)]
+    out += [SimpleType("E", r) for r in (6, 7, 8) if r <= max_rank]
+    if max_rank >= 4:
+        out.append(SimpleType("F", 4))
+    if max_rank >= 2:
+        out.append(SimpleType("G", 2))
+    return out
+
+
+def test_type_list_matches_enumeration():
+    for max_rank in range(0, 31):
+        assert all_simple_types(max_rank) == _enumerated_types(max_rank)
+
+
+def test_root_lengths_match_table_to_rank_30():
+    for t in all_simple_types(30):
+        assert t.root_lengths() == _length_table(t), str(t)
+        a, d = t.cartan_matrix(), t.root_lengths()
+        assert all(d[i] * a[i][j] == d[j] * a[j][i]
+                   for i in range(t.rank) for j in range(t.rank)), str(t)
+
+
+def test_beta_matches_family_rule_to_rank_30():
+    for t in all_simple_types(30):
+        want = _family_beta(t)
+        rs = build_root_system(t)
+        if want is None:
+            with pytest.raises(ValueError):
+                beta_root(rs)
+        else:
+            assert beta_root(rs).coeffs == want, str(t)
+
+
+def test_principal_inner_labels_match_pi_orbit_to_rank_16():
+    for t in all_simple_types(16):
+        if t == SimpleType("A", 1):
+            continue    # toral g0: e_sigma = 0
+        labels = principal_inner_labels(build_root_system(t))
+        assert labels == decompose(pi_involution(t)).ambient_wdd().labels, \
+            str(t)
+        if t.family in "ABCD" and t != SimpleType("B", 2):
+            assert labels == _classical_pi_row(t)[1], str(t)
 
 
 def test_root_sign_invariant():
