@@ -38,5 +38,5 @@ for kind, lam in [("so", "(7,7)"), ("so", "(5,3,1)"), ("sp", "(3,3)"),
 print()
 rec = exceptional_lookup(SimpleType("E", 8), "E8(a4)")
 print(f"static record E8(a4): dim z = {rec.dim_centralizer}, "
-      f"red = {rec.red_type}, nil = {rec.dim_nil}")
+      f"red = {rec.red}, nil = {rec.dim_nil}")
 print(rec.wdd.render())

@@ -21,7 +21,7 @@ for ts, g0 in [("E6", "C4"), ("E7", "A7"), ("E8", "D8")]:
     pair = pair_by_descriptor(SimpleType.parse(ts), g0)
     pd = decompose(pair)
     mg = grading_grid(pd)
-    print(f"{pair}, orbit {pd.orbit_label}")
+    print(f"{pair}, orbit {pd.orbit.label}")
     print(f"  M0 = {pd.m0}")
     print(f"  M1 = {pd.m1}")
     print("  " + mg.render().replace("\n", "\n  "))

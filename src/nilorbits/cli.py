@@ -3,7 +3,8 @@
 Subcommands: wdd, orbit, grade, upsilon, catalog, oracle, verify.
 Pair descriptors use the grammar <type>/<g0>[-diagram], where <type> is a
 Cartan label (E6, B4) or a classical name (sl6, so10, sp8) and <g0> is a
-fixed-algebra descriptor such as C4, gl5, so8, so7+so4, gl2+gl4, A5+A1.
+fixed-algebra descriptor such as C4, gl5, so8, so7+so4, gl2+gl4, A5+A1,
+with its summands in any order.
 Exit codes: 0 on success, 1 on verification failure, 2 on usage errors.
 """
 
@@ -18,8 +19,7 @@ from .gradings import (check_02, check_04, check_4k2, decompose,
                        decompose_classical, grading_grid, upsilon)
 from .involutions import catalog, pair_by_descriptor
 from .orbits import (ClassicalOrbit, Partition, centralizer_dims,
-                     is_divisible, is_even, half_orbit, reductive_type,
-                     wdd_from_partition)
+                     is_divisible, is_even, half_orbit)
 from .oracle import (centralizer_dim, ker_ad_squared, oracle_sizes,
                      triple_from_partition)
 from .roots import SimpleType
@@ -90,28 +90,27 @@ def cmd_wdd(args) -> int:
     t, amb = parse_ambient(args.type)
     if amb is None:
         rec = exceptional_lookup(t, args.partition)
-        text = (f"{t} orbit {rec.bala_carter_label}\n{rec.wdd.render()}\n"
-                f"dim g^e = {rec.dim_centralizer}, red = {rec.red_type}, "
+        text = (f"{t} orbit {rec.label}\n{rec.wdd.render()}\n"
+                f"dim g^e = {rec.dim_centralizer}, red = {rec.red}, "
                 f"nil = {rec.dim_nil}")
-        _emit(args, {"orbit": rec.bala_carter_label,
-                     "wdd": rec.wdd.to_json(),
+        _emit(args, {"orbit": rec.label, "wdd": rec.wdd.to_json(),
                      "dim_centralizer": rec.dim_centralizer,
-                     "red": rec.red_type, "dim_nil": rec.dim_nil}, text)
+                     "red": str(rec.red), "dim_nil": rec.dim_nil}, text)
         return 0
     kind, n = amb
     orbit = ClassicalOrbit(kind, n, Partition.parse(args.partition))
-    wdd = wdd_from_partition(orbit)
+    wdd = orbit.wdd
     total, red, nil = centralizer_dims(orbit)
     divisible = is_divisible(orbit)
     lines = [f"{orbit} in type {t}", wdd.render(),
              f"labels: {wdd.labels}",
-             f"dim g^e = {total}, red = {reductive_type(orbit)} "
+             f"dim g^e = {total}, red = {orbit.red} "
              f"(dim {red}), nil = {nil}",
              f"even: {is_even(orbit)}, divisible: {divisible}"]
     if divisible:
         lines.append(f"half orbit: {half_orbit(orbit).partition}")
     _emit(args, {"orbit": str(orbit), "wdd": wdd.to_json(),
-                 "dim_centralizer": total, "red": str(reductive_type(orbit)),
+                 "dim_centralizer": total, "red": str(orbit.red),
                  "dim_red": red, "dim_nil": nil,
                  "even": is_even(orbit), "divisible": divisible},
           "\n".join(lines))
@@ -125,7 +124,7 @@ def cmd_grade(args) -> int:
             raise UsageError("explicit partitions apply to classical "
                              "ambients only")
         lam = Partition.parse(args.partition)
-        if len(pair.factors) != 1:
+        if len(pair.g0.factors) != 1:
             raise UsageError("explicit partitions are supported for "
                              "single-factor fixed algebras")
         pd = decompose_classical(pair, [lam])
@@ -134,8 +133,7 @@ def cmd_grade(args) -> int:
     mg = grading_grid(pd)
     flags = {"d0(0)=d1(2)": check_02(mg), "d0(0)=d1(4)": check_04(mg),
              "d0(4k+2)=d1(4k+2)": check_4k2(mg)}
-    orbit = (pd.orbit_label if pd.orbit_label
-             else str(pd.ambient_partition))
+    orbit = pd.orbit.label
     text = (f"{pair}  e: {orbit}\n"
             f"M0 = {pd.m0}\nM1 = {pd.m1}\n{mg.render()}\n"
             + "  ".join(f"{k}: {v}" for k, v in flags.items()))

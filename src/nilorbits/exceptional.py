@@ -16,8 +16,10 @@ layers match the published M0+M1).
 
 Extension format: add a row (type, Bala-Carter label, diagram labels,
 reductive type, divisible or None) to _ORBIT_ROWS; ORBITS is keyed by
-(type string, label).  For a symmetric pair, add an entry (type string,
-fixed-algebra descriptor) -> orbit label to PAIR_ORBITS.  The sl2-modules
+(type string, label).  The reductive type is text that
+`involutions.parse_factors` reads: '0', 't1', 'A1', 'A2+t1' and so on.
+For a symmetric pair, add an entry (type string, catalog descriptor of
+g0) -> orbit label to PAIR_ORBITS.  The sl2-modules
 M0 and M1 are not recorded: M0 is the principal module of g0 and M0+M1 is
 `wdd.module()` of the labelled orbit.
 """
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .involutions import Reductive, parse_factors
 from .orbits import WeightedDynkinDiagram
 from .roots import SimpleType
 
@@ -33,9 +36,9 @@ from .roots import SimpleType
 @dataclass(frozen=True)
 class ExceptionalOrbit:
     type: SimpleType
-    bala_carter_label: str
+    label: str  # Bala-Carter
     wdd: WeightedDynkinDiagram
-    red_type: str
+    red: Reductive
     divisible: bool | None = None  # None: not recorded
 
     # centraliser dimensions read off the layers d(i) of the diagram
@@ -54,8 +57,8 @@ class ExceptionalOrbit:
 
 def _orbit(type_str, label, labels, red, divisible):
     t = SimpleType.parse(type_str)
-    return ExceptionalOrbit(t, label, WeightedDynkinDiagram(t, labels), red,
-                            divisible)
+    return ExceptionalOrbit(t, label, WeightedDynkinDiagram(t, labels),
+                            Reductive(parse_factors(red)), divisible)
 
 
 _ORBIT_ROWS = [

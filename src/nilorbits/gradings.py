@@ -18,8 +18,7 @@ from . import exceptional as exc
 from .involutions import (Factor, SymmetricPair, factor_str, identify_ibn,
                           pi_involution)
 from .orbits import (ClassicalOrbit, Partition, WeightedDynkinDiagram,
-                     is_divisible, half_orbit, is_almost_distinguished,
-                     wdd_from_partition)
+                     is_divisible, half_orbit)
 from .roots import SimpleType
 from .sl2 import R, SL2Module, alt2, sym2, tensor
 
@@ -53,8 +52,8 @@ def factor_jordan_types(pair: SymmetricPair,
     """Jordan types of e in the defining representations of the factors of
     g0: regular in each factor unless given (and then checked)."""
     if given is None:
-        return [Partition(factor_regular_parts(f)) for f in pair.factors]
-    for f, lam in zip(pair.factors, given):
+        return [Partition(factor_regular_parts(f)) for f in pair.g0.factors]
+    for f, lam in zip(pair.g0.factors, given):
         fkind, fn = f
         if lam.n != fn:
             raise ValueError(f"partition {lam} does not fit factor "
@@ -88,34 +87,30 @@ def regular_e_partition(pair: SymmetricPair) -> Partition:
 
 @dataclass(frozen=True)
 class PairDecomposition:
-    """sl2-module structure of g0 and g1 for a triple through e in g0."""
+    """sl2-module structure of g0 and g1 for a triple through e in g0,
+    and the orbit of e in g: a ClassicalOrbit of the matrix ambient or an
+    ExceptionalOrbit record."""
 
     pair: SymmetricPair
     m0: SL2Module
     m1: SL2Module
-    ambient_partition: Partition | None = None      # classical ambients
-    orbit_label: str | None = None                  # exceptional ambients
+    orbit: ClassicalOrbit | exc.ExceptionalOrbit
 
     def __post_init__(self):
         if self.m0.dim != self.pair.dim_g0 or self.m1.dim != self.pair.dim_g1:
             raise ValueError(
-                f"decomposition dims {self.m0.dim}+{self.m1.dim} do not "
-                f"match {self.pair} = {self.pair.dim_g0}+{self.pair.dim_g1}")
+                f"decomposition dims {self.m0.dim}+{self.m1.dim} of "
+                f"{self.pair} at e = {self.orbit.label} do not match "
+                f"{self.pair.dim_g0}+{self.pair.dim_g1}")
         if self.m1 and not (self.m1.weights_all_even()
                             or self.m1.weights_all_odd()):
-            raise ValueError("odd-part weights must be all even or all odd")
+            raise ValueError(f"odd-part weights of {self.pair} at e = "
+                             f"{self.orbit.label} must be all even or all "
+                             "odd")
 
     @property
     def e_is_even(self) -> bool:
         return self.m0.weights_all_even() and self.m1.weights_all_even()
-
-    def ambient_orbit(self) -> ClassicalOrbit:
-        return ClassicalOrbit(*self.pair.g.ambient, self.ambient_partition)
-
-    def ambient_wdd(self) -> WeightedDynkinDiagram:
-        if self.pair.g.ambient is None:
-            return exc.exceptional_lookup(self.pair.g, self.orbit_label).wdd
-        return wdd_from_partition(self.ambient_orbit())
 
 
 def decompose_classical(pair: SymmetricPair,
@@ -144,7 +139,7 @@ def decompose_classical(pair: SymmetricPair,
         m0 = tensor(w, w)
         m1 = 2 * (sym2(w) if kind == "sp" else alt2(w))
     elif pair.shape == "twisted":
-        if pair.factors[0][0] == "so":
+        if pair.g0.factors[0][0] == "so":
             m0, m1 = alt2(v[0]), sym2(v[0]).subtract(R(0))
         else:
             m0, m1 = sym2(v[0]), alt2(v[0]).subtract(R(0))
@@ -157,9 +152,8 @@ def decompose_classical(pair: SymmetricPair,
     else:
         m0 = sym2(v[0]) + sym2(v[1])
         m1 = tensor(v[0], v[1])
-    lam = ambient_jordan_type(pair, fparts)
-    ClassicalOrbit(kind, n, lam)  # validity check of the ambient type
-    return PairDecomposition(pair, m0, m1, ambient_partition=lam)
+    orbit = ClassicalOrbit(kind, n, ambient_jordan_type(pair, fparts))
+    return PairDecomposition(pair, m0, m1, orbit)
 
 
 def decompose_exceptional(pair: SymmetricPair) -> PairDecomposition:
@@ -168,12 +162,12 @@ def decompose_exceptional(pair: SymmetricPair) -> PairDecomposition:
     if pair.g.ambient is not None:
         raise ValueError(f"{pair} is classical; use decompose_classical")
     m0 = SL2Module()
-    for kind, n in pair.factors:  # principal diagram: every label 2
+    for kind, n in pair.g0.factors:  # principal diagram: every label 2
         m0 = m0 + (n * R(0) if kind == "t" else WeightedDynkinDiagram(
             SimpleType(kind[0], n), (2,) * n).module())
-    label = exc.PAIR_ORBITS[(str(pair.g), pair.descriptor)]
-    m1 = exc.exceptional_lookup(pair.g, label).wdd.module().subtract(m0)
-    return PairDecomposition(pair, m0, m1, orbit_label=label)
+    rec = exc.exceptional_lookup(
+        pair.g, exc.PAIR_ORBITS[(str(pair.g), pair.descriptor)])
+    return PairDecomposition(pair, m0, rec.wdd.module().subtract(m0), rec)
 
 
 @lru_cache(maxsize=None)
@@ -237,7 +231,7 @@ class MixedGrading:
     def dim_nil(self) -> int:
         return self.total(1) + self.total(2)
 
-    def render(self, box: bool = True) -> str:
+    def render(self) -> str:
         hi = self.m1 if self.m1 > self.m0 else self.m0
         step = 1 if any(self.d(j, i) for j in (0, 1)
                         for i in range(1, hi + 1, 2)) else 2
@@ -245,7 +239,7 @@ class MixedGrading:
         rows = [["i"] + [str(i) for i in cols],
                 ["d0(i)"] + [str(self.d(0, i)) for i in cols],
                 ["d1(i)"] + [str(self.d(1, i)) for i in cols]]
-        if box and check_04(self):
+        if check_04(self):
             rows[1][1] = f"[{rows[1][1]}]"
             if 4 in cols:
                 rows[2][1 + cols.index(4)] = f"[{rows[2][1 + cols.index(4)]}]"
@@ -336,7 +330,7 @@ def upsilon(pd: PairDecomposition) -> UpsilonResult:
     s0 = pd.m0.signed_count("even_plus")
     diff_check = s0 + pd.m1.signed_count("even_plus")
     diff_cross = s0 + pd.m1.signed_count("odd_flip")
-    wdd = pd.ambient_wdd()
+    wdd = pd.orbit.wdd
     sigma_check = identify_ibn(pd.pair.g, -diff_check, True, wdd)
     sigma_sigma_check = identify_ibn(pd.pair.g, -diff_cross, pd.pair.inner,
                                      wdd)
@@ -391,18 +385,14 @@ def divisibility_report(pd: PairDecomposition,
     grid_eq = (mg.d(0, 0) == mg.d(0, 2) == mg.d(1, 2) == mg.d(1, 4)
                and check_4k2(mg))
     no_r2 = pd.m1.mult.get(2, 0) == 0
-    semis = pd.pair.g0_semisimple
+    orbit = pd.orbit
     if pd.pair.g.ambient is not None:
-        orbit = pd.ambient_orbit()
         divisible = is_divisible(orbit)
-        e_ad = is_almost_distinguished(orbit)
         half = half_orbit(orbit) if divisible else None
-        half_ad = is_almost_distinguished(half) if half else False
+        half_ad = half.red.is_toral if half else False
         half_part = half.partition if half else None
     else:
-        rec = exc.exceptional_lookup(pd.pair.g, pd.orbit_label)
-        divisible = bool(rec.divisible)
-        e_ad = rec.red_type == "0" or rec.red_type.startswith("t")
+        divisible = bool(orbit.divisible)
         # the reductive centraliser of e/2 lives in degree 0 of the halved
         # grading and has dimension d(0) - d(4); a reductive algebra of
         # dimension <= 2 is a torus
@@ -410,8 +400,9 @@ def divisibility_report(pd: PairDecomposition,
         half_part = None
     return DivisibilityReport(
         pair=pd.pair, grid_equalities=grid_eq, no_r2_in_odd_part=no_r2,
-        g0_semisimple=semis, orbit_divisible=divisible,
-        e_almost_distinguished=e_ad, half_almost_distinguished=half_ad,
+        g0_semisimple=pd.pair.g0.center_dim == 0, orbit_divisible=divisible,
+        e_almost_distinguished=orbit.red.is_toral,
+        half_almost_distinguished=half_ad,
         half_partition=half_part)
 
 

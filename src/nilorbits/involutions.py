@@ -17,6 +17,7 @@ share the signature -4).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -25,48 +26,95 @@ from .roots import SimpleType, build_root_system
 Factor = tuple[str, int]
 
 
-def factor_dim(f: Factor) -> int:
+def _factor_numbers(f: Factor) -> tuple[int, int, int]:
+    """(dim, rank, centre dim) of one factor: so, sp, gl and sl by matrix
+    size, t_n an n-dimensional torus, a Cartan label by rank (A~ is a copy
+    of A)."""
     kind, n = f
     if kind == "so":
-        return n * (n - 1) // 2
+        dim = n * (n - 1) // 2
+        return dim, n // 2, dim if n <= 2 else 0  # so1 = 0, so2 = t1
     if kind == "sp":
-        return n * (n + 1) // 2  # n = matrix size, even
+        return n * (n + 1) // 2, n // 2, 0  # n = matrix size, even
     if kind == "gl":
-        return n * n
+        return n * n, n, 1
     if kind == "sl":
-        return n * n - 1
+        return n * n - 1, n - 1, 0
     if kind == "t":
-        return n
-    return SimpleType(kind[0], n).dimension  # Cartan label; A~ is a copy of A
-
-
-def factor_rank(f: Factor) -> int:
-    kind, n = f
-    if kind == "so":
-        return n // 2
-    if kind == "sp":
-        return n // 2
-    if kind in ("gl", "t", "A", "A~", "B", "C", "D", "E", "F", "G"):
-        return n
-    if kind == "sl":
-        return n - 1
-    raise ValueError(kind)
-
-
-def factor_center_dim(f: Factor) -> int:
-    kind, n = f
-    if kind == "t":
-        return n
-    if kind == "gl":
-        return 1
-    if kind == "so" and n <= 2:
-        return factor_dim(f)  # so1 = 0, so2 = t1
-    return 0
+        return n, n, n
+    return SimpleType(kind[0], n).dimension, n, 0
 
 
 def factor_str(f: Factor) -> str:
     kind, n = f
     return f"{kind}{n}" if kind != "A~" else f"A{n}~"
+
+
+_FACTOR = re.compile(r"(so|sp|gl|sl|t|[A-G])([0-9]+)(~?)")
+
+
+def parse_factors(text: str) -> tuple[Factor, ...]:
+    """Factors of a sum such as 'so8+so1', 'A5+A1', 'A1~' or 't1'; '0' is
+    the zero algebra."""
+    if text == "0":
+        return ()
+    factors = []
+    for part in text.split("+"):
+        if not part:
+            raise ValueError(f"empty part in the factor sum {text!r}")
+        m = _FACTOR.fullmatch(part)
+        if m is None or (m[3] and m[1] != "A"):
+            raise ValueError(f"cannot read the factor {part!r} of {text!r}: "
+                             "expected so, sp, gl, sl or t with a size, or "
+                             "a Cartan label such as A5 or A1~")
+        factors.append((m[1] + m[3], int(m[2])))
+    return tuple(factors)
+
+
+@dataclass(frozen=True)
+class Reductive:
+    """A reductive algebra as a sum of factors; traced cuts a sum of gl's
+    by one trace condition, s(gl_k + gl_l + ...).  It is g0 of a pair, the
+    reductive centraliser of a classical orbit, or the recorded reductive
+    type of an exceptional orbit."""
+
+    factors: tuple[Factor, ...]
+    traced: bool = False
+
+    def _sum(self, i: int) -> int:
+        return sum(_factor_numbers(f)[i] for f in self.factors) - self.traced
+
+    @property
+    def dim(self) -> int:
+        return self._sum(0)
+
+    @property
+    def rank(self) -> int:
+        return self._sum(1)
+
+    @property
+    def center_dim(self) -> int:
+        return self._sum(2)
+
+    @property
+    def is_toral(self) -> bool:
+        """A reductive algebra is a torus iff it equals its centre."""
+        return self.dim == self.center_dim
+
+    @cached_property
+    def descriptor(self) -> str:
+        return "+".join(factor_str(f) for f in self.factors)
+
+    def __str__(self):
+        if self.dim == 0:
+            return "0"
+        if self.is_toral:
+            return f"t{self.dim}"
+        live = [f for f in self.factors if f != ("so", 1)]
+        if self.traced and len(live) == 1 and live[0][0] == "gl":
+            return f"sl{live[0][1]}"
+        body = "+".join(factor_str(f) for f in live)
+        return f"s({body})" if self.traced else body
 
 
 @dataclass(frozen=True)
@@ -110,16 +158,17 @@ def ibn_signature(s: SatakeDiagram) -> int:
 @dataclass(frozen=True)
 class SymmetricPair:
     g: SimpleType
-    descriptor: str
-    factors: tuple[Factor, ...]
+    g0: Reductive
     inner: bool
     satake: SatakeDiagram
-    traced: bool = False  # sl ambient: s(gl+gl), one central torus removed
+
+    @property
+    def descriptor(self) -> str:
+        return self.g0.descriptor
 
     @property
     def dim_g0(self) -> int:
-        return sum(factor_dim(f) for f in self.factors) - \
-            (1 if self.traced else 0)
+        return self.g0.dim
 
     @property
     def dim_g1(self) -> int:
@@ -133,20 +182,6 @@ class SymmetricPair:
     def is_maximal_rank(self) -> bool:
         return self.signature == self.g.rank
 
-    @property
-    def center_dim_g0(self) -> int:
-        c = sum(factor_center_dim(f) for f in self.factors)
-        return c - (1 if self.traced else 0)
-
-    @property
-    def g0_semisimple(self) -> bool:
-        return self.center_dim_g0 == 0
-
-    @property
-    def rank_g0(self) -> int:
-        return sum(factor_rank(f) for f in self.factors) - \
-            (1 if self.traced else 0)
-
     @cached_property
     def shape(self) -> str | None:
         """How g0 sits in the matrix ambient of a classical g: 'hermitian'
@@ -156,14 +191,13 @@ class SymmetricPair:
         amb = self.g.ambient
         if amb is None:
             return None
-        if len(self.factors) > 1:
+        if len(self.g0.factors) > 1:
             return "blocks"
         return "twisted" if amb[0] == "sl" else "hermitian"
 
     @property
     def g0_str(self) -> str:
-        body = "+".join(factor_str(f) for f in self.factors)
-        return f"s({body})" if self.traced else body
+        return f"s({self.descriptor})" if self.g0.traced else self.descriptor
 
     def __str__(self):
         return f"({self.g}, {self.g0_str})"
@@ -175,36 +209,35 @@ class SymmetricPair:
                 "satake": self.satake.to_json()}
 
 
-def _pair(g, descriptor, factors, inner, black=(), arrows=(), traced=False):
+def _pair(g, factors, inner, black=(), arrows=(), traced=False):
     sat = SatakeDiagram(g, frozenset(black),
                         frozenset(tuple(sorted(a)) for a in arrows))
-    return SymmetricPair(g=g, descriptor=descriptor, factors=tuple(factors),
-                         inner=inner, satake=sat, traced=traced)
+    return SymmetricPair(g, Reductive(tuple(factors), traced), inner, sat)
 
 
 _EXCEPTIONAL_PAIRS = {
-    # descriptor: (factors, inner, black nodes, arrows) in 0-based numbering
+    # type: (g0 factors, inner, black nodes, arrows) in 0-based numbering
     "E6": [
-        ("C4",     [("C", 4)],           False, (), ()),
-        ("A5+A1",  [("A", 5), ("A", 1)], True,  (), ((0, 5), (2, 4))),
-        ("D5+t1",  [("D", 5), ("t", 1)], True,  (2, 3, 4), ((0, 5),)),
-        ("F4",     [("F", 4)],           False, (1, 2, 3, 4), ()),
+        ([("C", 4)],           False, (), ()),
+        ([("A", 5), ("A", 1)], True,  (), ((0, 5), (2, 4))),
+        ([("D", 5), ("t", 1)], True,  (2, 3, 4), ((0, 5),)),
+        ([("F", 4)],           False, (1, 2, 3, 4), ()),
     ],
     "E7": [
-        ("A7",     [("A", 7)],           True, (), ()),
-        ("D6+A1",  [("D", 6), ("A", 1)], True, (1, 4, 6), ()),
-        ("E6+t1",  [("E", 6), ("t", 1)], True, (1, 2, 3, 4), ()),
+        ([("A", 7)],           True, (), ()),
+        ([("D", 6), ("A", 1)], True, (1, 4, 6), ()),
+        ([("E", 6), ("t", 1)], True, (1, 2, 3, 4), ()),
     ],
     "E8": [
-        ("D8",     [("D", 8)],           True, (), ()),
-        ("E7+A1",  [("E", 7), ("A", 1)], True, (1, 2, 3, 4), ()),
+        ([("D", 8)],           True, (), ()),
+        ([("E", 7), ("A", 1)], True, (1, 2, 3, 4), ()),
     ],
     "F4": [
-        ("C3+A1",  [("C", 3), ("A", 1)], True, (), ()),
-        ("B4",     [("B", 4)],           True, (1, 2, 3), ()),
+        ([("C", 3), ("A", 1)], True, (), ()),
+        ([("B", 4)],           True, (1, 2, 3), ()),
     ],
     "G2": [
-        ("A1+A1~", [("A", 1), ("A~", 1)], True, (), ()),
+        ([("A", 1), ("A~", 1)], True, (), ()),
     ],
 }
 
@@ -216,10 +249,10 @@ def catalog(t: SimpleType) -> tuple[SymmetricPair, ...]:
     pairs: list[SymmetricPair] = []
     if fam == "A":
         n = r + 1
-        pairs.append(_pair(t, f"so{n}", [("so", n)], inner=(n == 2)))
+        pairs.append(_pair(t, [("so", n)], inner=(n == 2)))
         if n % 2 == 0 and n >= 4:
             black = tuple(range(0, n - 1, 2))
-            pairs.append(_pair(t, f"sp{n}", [("sp", n)], False, black))
+            pairs.append(_pair(t, [("sp", n)], False, black))
         for k in range(1, n // 2 + 1):
             if n == 2:
                 break  # s(gl1+gl1) coincides with the so2 class
@@ -230,23 +263,21 @@ def catalog(t: SimpleType) -> tuple[SymmetricPair, ...]:
             else:
                 arrows = tuple((i, n - 2 - i) for i in range(k - 1))
                 black = ()
-            pairs.append(_pair(t, f"gl{k}+gl{l}", [("gl", k), ("gl", l)],
-                               True, black, arrows, traced=True))
+            pairs.append(_pair(t, [("gl", k), ("gl", l)], True, black,
+                               arrows, traced=True))
     elif fam == "B":
         n = 2 * r + 1
         for s in range(1, r + 1):
             black = tuple(range(s, r))
-            pairs.append(_pair(t, f"so{n - s}+so{s}",
-                               [("so", n - s), ("so", s)], True, black))
+            pairs.append(_pair(t, [("so", n - s), ("so", s)], True, black))
     elif fam == "C":
         n = 2 * r
-        pairs.append(_pair(t, f"gl{r}", [("gl", r)], True))
+        pairs.append(_pair(t, [("gl", r)], True))
         for k in range(1, r // 2 + 1):
             p = k  # smaller half
             black = tuple(i for i in range(r)
                           if not (i % 2 == 1 and i <= 2 * p - 1))
-            pairs.append(_pair(t, f"sp{2 * (r - k)}+sp{2 * k}",
-                               [("sp", 2 * (r - k)), ("sp", 2 * k)],
+            pairs.append(_pair(t, [("sp", 2 * (r - k)), ("sp", 2 * k)],
                                True, black))
     elif fam == "D":
         n = 2 * r
@@ -257,8 +288,7 @@ def catalog(t: SimpleType) -> tuple[SymmetricPair, ...]:
                 black, arrows = (), ((r - 2, r - 1),)
             else:
                 black, arrows = tuple(range(s, r)), ()
-            pairs.append(_pair(t, f"so{n - s}+so{s}",
-                               [("so", n - s), ("so", s)],
+            pairs.append(_pair(t, [("so", n - s), ("so", s)],
                                inner=(s % 2 == 0), black=black,
                                arrows=arrows))
         if r % 2 == 0:
@@ -267,51 +297,38 @@ def catalog(t: SimpleType) -> tuple[SymmetricPair, ...]:
         else:
             black = tuple(range(0, r - 2, 2))
             arrows = ((r - 2, r - 1),)
-        pairs.append(_pair(t, f"gl{r}", [("gl", r)], True, black, arrows))
+        pairs.append(_pair(t, [("gl", r)], True, black, arrows))
     else:
-        for desc, factors, inner, black, arrows in _EXCEPTIONAL_PAIRS[str(t)]:
-            pairs.append(_pair(t, desc, factors, inner, black, arrows))
+        for factors, inner, black, arrows in _EXCEPTIONAL_PAIRS[str(t)]:
+            pairs.append(_pair(t, factors, inner, black, arrows))
     return tuple(pairs)
 
 
+# Cartan labels of classical factors: B_k = so_2k+1, D_k = so_2k, C_k = sp_2k
+_LABEL_SIZES = {"B": ("so", 1), "D": ("so", 0), "C": ("sp", 0)}
+
+
 def pair_by_descriptor(t: SimpleType, descriptor: str) -> SymmetricPair:
-    descriptor = normalize_descriptor(t, descriptor)
+    """The class whose g0 has the given factors, in any order.  Also
+    accepted: s(...), Cartan labels such as C3 for sp6 on classical types,
+    and a bare 'so8' for so8+so1 on B/D."""
+    d = descriptor.strip().replace(" ", "")
+    if d.startswith("s(") and d.endswith(")"):
+        d = d[2:-1]
+    factors = list(parse_factors(d))
+    if t.ambient is not None:
+        factors = [(_LABEL_SIZES[k][0], 2 * m + _LABEL_SIZES[k][1])
+                   if k in _LABEL_SIZES else (k, m) for k, m in factors]
+    n = t.ambient[1] if t.family in ("B", "D") else 0
+    if len(factors) == 1 and factors[0][0] == "so" and factors[0][1] < n:
+        factors.append(("so", n - factors[0][1]))
+    key = sorted(factors)
     for p in catalog(t):
-        if p.descriptor == descriptor:
+        if sorted(p.g0.factors) == key:
             return p
     known = [p.descriptor for p in catalog(t)]
     raise KeyError(f"no involution class {descriptor!r} of {t}; "
                    f"known: {known}")
-
-
-def normalize_descriptor(t: SimpleType, descriptor: str) -> str:
-    """Accept shorthand: 'so8' for 'so8+so1', unsorted sums, s(...) and,
-    for classical ambients, Cartan labels such as C3 for sp6."""
-    d = descriptor.strip().replace(" ", "")
-    if d.startswith("s(") and d.endswith(")"):
-        d = d[2:-1]
-    parts = d.split("+")
-    if not all(parts):
-        raise ValueError(f"empty part in fixed-algebra descriptor "
-                         f"{descriptor!r}")
-    if t.family in "ABCD":
-        table = {"B": lambda k: f"so{2 * k + 1}", "D": lambda k: f"so{2 * k}",
-                 "C": lambda k: f"sp{2 * k}"}
-        parts = [table[p[0]](int(p[1:]))
-                 if p[0] in table and p[1:].isdigit() else p
-                 for p in parts]
-    if t.family in ("B", "D") and len(parts) == 1 and parts[0].startswith("so"):
-        n = t.ambient[1]
-        k = int(parts[0][2:])
-        if k < n:
-            parts.append(f"so{n - k}")
-    if len(parts) == 2 and all(p[:2] in ("so", "sp", "gl") for p in parts):
-        kind = parts[0][:2]
-        if parts[1][:2] == kind:
-            sizes = sorted((int(parts[0][2:]), int(parts[1][2:])),
-                           reverse=(kind != "gl"))
-            parts = [f"{kind}{sizes[0]}", f"{kind}{sizes[1]}"]
-    return "+".join(parts)
 
 
 def maximal_rank(t: SimpleType) -> SymmetricPair:

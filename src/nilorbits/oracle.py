@@ -345,7 +345,7 @@ def realize_pair(pair: SymmetricPair,
         signs = [1] * m + [-1] * m
         return RealizedPair(pair, triple, signs, twist=False)
     if pair.shape == "twisted":
-        fkind = pair.factors[0][0]
+        fkind = pair.g0.factors[0][0]
         triple = triple_from_partition(fkind, n, fparts[0])
         triple = SL2Triple("sl", n, triple.e, triple.h, triple.f, triple.form)
         return RealizedPair(pair, triple, None, twist=True)
@@ -355,7 +355,7 @@ def realize_pair(pair: SymmetricPair,
     f = zeros(n, n)
     form = None if kind == "sl" else zeros(n, n)
     pos = 0
-    for (fkind, fn), lam in zip(pair.factors, fparts):
+    for (fkind, fn), lam in zip(pair.g0.factors, fparts):
         tb = triple_from_partition("sl" if fkind == "gl" else fkind, fn, lam)
         _embed(e, tb.e, pos, pos)
         _embed(h, tb.h, pos, pos)
@@ -363,7 +363,8 @@ def realize_pair(pair: SymmetricPair,
         if form is not None:
             _embed(form, tb.form, pos, pos)
         pos += fn
-    signs = [1] * pair.factors[0][1] + [-1] * (n - pair.factors[0][1])
+    k = pair.g0.factors[0][1]
+    signs = [1] * k + [-1] * (n - k)
     triple = SL2Triple(kind, n, e, h, f, form)
     return RealizedPair(pair, triple, signs, twist=False)
 

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .involutions import factor_dim
+from .involutions import Reductive
 from .roots import SimpleType, build_root_system
 from .sl2 import SL2Module
 
@@ -113,6 +113,18 @@ class ClassicalOrbit:
 
     def __str__(self):
         return f"{self.kind}{self.n} {self.partition}"
+
+    @property
+    def label(self) -> str:
+        return str(self.partition)
+
+    @property
+    def wdd(self) -> WeightedDynkinDiagram:
+        return wdd_from_partition(self)
+
+    @property
+    def red(self) -> Reductive:
+        return reductive_type(self)
 
 
 def valid_partitions(kind: str, n: int) -> list[ClassicalOrbit]:
@@ -244,62 +256,20 @@ def wdd_from_partition(o: ClassicalOrbit) -> WeightedDynkinDiagram:
 # Centralisers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReductiveCentralizer:
-    """Reductive part of the centraliser, as a product of classical factors.
-
-    Factors are (kind, size) with kind 'gl', 'so' or 'sp'; for sl the gl
-    product is cut by the trace condition (dim drops by 1).
-    """
-
-    factors: tuple[tuple[str, int], ...]
-    traced: bool  # sl ambient: overall determinant-one condition
-
-    @property
-    def dim(self) -> int:
-        return sum(factor_dim(f) for f in self.factors) - self.traced
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.dim == 0
-
-    @property
-    def is_toral(self) -> bool:
-        """No simple factors: gl_1, so_1, so_2 and sp_0 only."""
-        for kind, m in self.factors:
-            if kind == "gl" and m > 1:
-                return False
-            if kind == "so" and m > 2:
-                return False
-            if kind == "sp" and m > 0:
-                return False
-        return True
-
-    def __str__(self):
-        if self.is_trivial:
-            return "0"
-        if self.is_toral:
-            return f"t{self.dim}"
-        live = [(kind, m) for kind, m in self.factors
-                if not (kind == "so" and m <= 1)]
-        if self.traced and len(live) == 1 and live[0][0] == "gl":
-            return f"sl{live[0][1]}"
-        inner = "+".join(f"{kind}{m}" for kind, m in live)
-        return f"s({inner})" if self.traced else inner
-
-
-def reductive_type(o: ClassicalOrbit) -> ReductiveCentralizer:
+def reductive_type(o: ClassicalOrbit) -> Reductive:
+    """Reductive part of the centraliser: a gl_m per part of multiplicity m
+    (traced) in sl; in so (sp) so_m for odd (even) parts of multiplicity m
+    and sp_m for the others."""
     mults = sorted(o.partition.multiplicities.items())
     if o.kind == "sl":
-        return ReductiveCentralizer(
-            tuple(("gl", m) for _, m in mults), traced=True)
+        return Reductive(tuple(("gl", m) for _, m in mults), traced=True)
     factors = []
     for p, m in mults:
         if o.kind == "so":
             factors.append(("so", m) if p % 2 == 1 else ("sp", m))
         else:
             factors.append(("sp", m) if p % 2 == 1 else ("so", m))
-    return ReductiveCentralizer(tuple(factors), traced=False)
+    return Reductive(tuple(factors))
 
 
 def centralizer_dims(o: ClassicalOrbit) -> tuple[int, int, int]:
@@ -318,7 +288,7 @@ def centralizer_dims(o: ClassicalOrbit) -> tuple[int, int, int]:
 
 
 def is_distinguished(o: ClassicalOrbit) -> bool:
-    return reductive_type(o).is_trivial
+    return reductive_type(o).dim == 0
 
 
 def is_almost_distinguished(o: ClassicalOrbit) -> bool:

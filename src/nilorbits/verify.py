@@ -21,7 +21,7 @@ from .involutions import (catalog, maximal_rank, orbit_meets_g1,
                           pair_by_descriptor, pi_involution)
 from .orbits import (ClassicalOrbit, Partition, all_partitions,
                      centralizer_dims, half_orbit, is_divisible,
-                     reductive_type, valid_partitions, wdd_from_partition)
+                     valid_partitions)
 from .oracle import (centralizer_dim, ker_ad_squared, oracle_grid,
                      oracle_sizes, triple_from_partition)
 from .roots import (SimpleType, all_simple_types, build_root_system,
@@ -175,9 +175,9 @@ def suite_tables(max_rank: int = 8) -> VerificationReport:
         rec = exc.exceptional_lookup(t, label)
         rep.add(f"{ts} {label}", "(dim, red, nil) from the diagram layers",
                 (dim, red, nil),
-                (rec.dim_centralizer, rec.red_type, rec.dim_nil))
+                (rec.dim_centralizer, str(rec.red), rec.dim_nil))
         rep.add(f"{ts} {label} wdd", "diagram labels: <alpha_i, 2 rho_0^vee> "
-                "vs the pair's orbit record", d_sigma, pd.ambient_wdd().labels)
+                "vs the pair's orbit record", d_sigma, pd.orbit.wdd.labels)
         mg = grading_grid(pd)
         rep.add(f"{ts} PI grid", "grid/record centraliser dims agree",
                 (dim, rec.dim_red, nil),
@@ -194,9 +194,8 @@ def suite_tables(max_rank: int = 8) -> VerificationReport:
         orbit = ClassicalOrbit(*t.ambient, part)
         total, red_dim, nil_dim = centralizer_dims(orbit)
         rep.add(f"{t} PI dims", "(dim, red, nil)", (dim, red, nil),
-                (total, str(reductive_type(orbit)), nil_dim))
-        rep.add(f"{t} PI wdd", "diagram labels", labels,
-                wdd_from_partition(orbit).labels)
+                (total, str(orbit.red), nil_dim))
+        rep.add(f"{t} PI wdd", "diagram labels", labels, orbit.wdd.labels)
     return rep
 
 
@@ -353,7 +352,7 @@ def suite_regular(max_rank: int = 8) -> VerificationReport:
     for pair in swept_pairs(max_rank):
         pd = decompose(pair)
         mg = grading_grid(pd)
-        wdd = pd.ambient_wdd()
+        wdd = pd.orbit.wdd
         cid = f"{pair.g}/{pair.descriptor}"
         rep.add(f"{cid} zeros", "only isolated zeros", True,
                 wdd.has_only_isolated_zeros())
@@ -365,11 +364,11 @@ def suite_regular(max_rank: int = 8) -> VerificationReport:
                 all(mg.total(i) == wdd.layer_dim(i)
                     for i in mg.support))
         nil = mg.dim_nil
-        bound = 2 * pair.rank_g0
+        bound = 2 * pair.g0.rank
         rep.add(f"{cid} nil bound", "dim nil <= 2 rk(g0)", True, nil <= bound)
         if nil == bound:
             rep.add(f"{cid} nil equality", "equality forces g0 semisimple",
-                    True, pair.g0_semisimple)
+                    True, pair.g0.center_dim == 0)
         # parity: even Coxeter number forces e even in g
         c = coxeter_number(build_root_system(pair.g))
         if c % 2 == 0:
@@ -418,7 +417,7 @@ def suite_oracle(max_n: int = 9) -> VerificationReport:
                                 centralizer_dims(half)[0], ker_ad_squared(tr))
                     sp_half.add(f"sp half {o} toral",
                                 "half never almost distinguished",
-                                False, reductive_type(half).is_toral)
+                                False, half.red.is_toral)
                     continue
                 ker2.add(f"ker2 {o}", "dim ker(ad e)^2 = dim z(half)",
                          centralizer_dims(half)[0], ker_ad_squared(tr))
@@ -550,7 +549,7 @@ def suite_meets(max_rank: int = 8) -> VerificationReport:
         if not pd.e_is_even:
             continue
         u = upsilon(pd)
-        wdd = pd.ambient_wdd()
+        wdd = pd.orbit.wdd
         cid = f"{pair.g}/{pair.descriptor}"
         for tag, q in (("check", u.sigma_check),
                        ("cross", u.sigma_sigma_check)):

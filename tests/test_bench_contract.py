@@ -4,14 +4,17 @@ perfbench/spans.py patches a wrapper over every binding of the functions
 it lists in TRACED and computes work counters from their positional
 arguments.  A traced run fails when a listed function is missing or a
 layer recorded as active is not called, so these tests pin both: every
-listed function resolves, the oracle paths reach the linalg kernels, and
-the counters can read every argument tuple the kernels receive.
+listed function resolves, each workload reaches the layers it lists as
+active, the oracle paths reach the linalg kernels, and the counters can
+read every argument tuple the kernels receive.
 """
 
 import importlib
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -99,3 +102,64 @@ def test_suites_keep_the_case_ids_the_workloads_count():
             where = f"{name} at --max-rank {w['max_rank']}"
             assert len(ids) >= count, f"{where}: {len(ids)} < {count}"
             assert len(set(ids)) == len(ids), f"{where}: duplicate case ids"
+
+
+# One pass as perfbench/worker.py runs it: a fresh interpreter (empty
+# caches), the package imported, spans.install over it, then the job.
+# Prints the span names that had calls.
+_PASS = """
+import contextlib, importlib.util, io, json, sys
+import nilorbits, nilorbits.cli
+from nilorbits import verify
+spec = importlib.util.spec_from_file_location("spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+tracer = spans.Tracer()
+spans.install(tracer)
+job = json.loads(sys.argv[2])
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    for suite in job.get("suites", []):
+        verify.run_suite(suite, max_rank=job["max_rank"])
+    for argv in job.get("queries", []):
+        nilorbits.cli.main(["--json"] + argv)
+print(json.dumps(sorted(n for n, (calls, _) in tracer.self_times().items()
+                        if calls)))
+"""
+
+
+def _spans_reached(job) -> set[str]:
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _PASS, str(_SPANS),
+                          json.dumps(job)], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    return set(json.loads(out))
+
+
+_WORKLOADS = json.loads((_PERFBENCH / "workloads.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(n for n, w in _WORKLOADS.items()
+                                        if "cases" in w))
+def test_swept_workload_reaches_its_active_layers(name):
+    w = _WORKLOADS[name]
+    reached = _spans_reached({"suites": sorted(w["cases"]),
+                              "max_rank": w["max_rank"]})
+    assert set(w["active"]) <= reached, set(w["active"]) - reached
+
+
+# a fixed sample of the query mix: an exceptional grade and wdd, a
+# classical wdd, an upsilon, catalog E8, an oracle query, and the
+# hermitian grade so10/gl5, which reaches sl2.tensor
+_QUERY_SAMPLE = [["grade", "E6/C4"], ["wdd", "E6", "E6(a1)"],
+                 ["wdd", "sl6", "(3,2,1)"], ["upsilon", "sp8/gl4"],
+                 ["catalog", "E8"], ["oracle", "so8", "(3,3,1,1)"],
+                 ["grade", "so10/gl5"]]
+
+
+def test_query_sample_reaches_the_active_layers_of_the_query_mix():
+    active = {n for n in _WORKLOADS["query-mix"]["active"]
+              if not n.startswith("cli.")}
+    reached = _spans_reached({"queries": _QUERY_SAMPLE})
+    assert active <= reached, active - reached

@@ -230,6 +230,25 @@ def test_bad_names_are_named_in_the_error(capsys, argv, typed):
     assert "family" not in err and "int()" not in err, err
 
 
+@pytest.mark.parametrize("argv,typed", [
+    (["grade", "so10/soX"], "'soX'"),
+    (["grade", "so10/so"], "'so'"),
+    (["grade", "sl4/gl2+glx"], "'glx'"),
+    (["upsilon", "sp8/spa+sp2"], "'spa'"),
+    (["grade", "so10/so4+so"], "'so'"),
+])
+def test_bad_descriptor_parts_are_named_in_the_error(capsys, argv, typed):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert typed in err and "int()" not in err, err
+
+
+def test_decomposition_error_names_the_pair_and_the_orbit(capsys):
+    code, out, err = run(capsys, "grade", "so10/gl5", "(3,2)")
+    assert (code, out) == (2, "")
+    assert "(D5, gl5)" in err and "(3,3,2,2)" in err, err
+
+
 def test_pair_over_small_matrix_name_is_a_usage_error(capsys):
     code, out, err = run(capsys, "grade", "so6/so5+so1")
     assert (code, out) == (2, "")
@@ -249,8 +268,9 @@ _COMMANDS = [["wdd"], ["orbit"], ["grade"], ["upsilon"], ["catalog"],
 _WORDS = ["E6", "E8", "G2", "B4", "C4", "D4", "A1", "sl1", "sl4", "so4",
           "so9", "so10", "sp7", "sp8", "E6/C4", "E6/C4-diagram", "so10/gl5",
           "A5/C3-diagram", "so9/so8", "sl6/so6", "sp8/gl4", "sl4/", "D8/",
-          "sl4/gl2+", "sp7/gl3", "(5,1)", "(4,4)", "(3,2)", "(2,2)", "()",
-          "(0)", "E8(a4)", "--json", "--help", "--max-rank", "2", "-1"]
+          "sl4/gl2+", "sp7/gl3", "so10/soX", "so10/so", "sl4/gl2+glx",
+          "sp8/spa+sp2", "so10/so4+so", "(5,1)", "(4,4)", "(3,2)", "(2,2)",
+          "()", "(0)", "E8(a4)", "--json", "--help", "--max-rank", "2", "-1"]
 _TOKENS = st.one_of(st.sampled_from(_WORDS),
                     st.text(alphabet="acdeglnopsACDEG/+()-,~ ", max_size=6))
 

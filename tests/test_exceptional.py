@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from nilorbits.exceptional import ORBITS, exceptional_lookup
+from nilorbits.exceptional import _ORBIT_ROWS, ORBITS, exceptional_lookup
 from nilorbits.gradings import decompose
 from nilorbits.involutions import catalog, pair_by_descriptor
 from nilorbits.orbits import WeightedDynkinDiagram
@@ -75,16 +75,16 @@ def test_pair_records_regenerate(key):
     m0s, m1s, label = PUBLISHED[key]
     m0, m1 = SL2Module.parse(m0s), SL2Module.parse(m1s)
     pd = decompose(pair)
-    assert (pd.m0, pd.m1, pd.orbit_label) == (m0, m1, label)
+    assert (pd.m0, pd.m1, pd.orbit.label) == (m0, m1, label)
     # the even part carries the principal decomposition of g0
-    assert m0 == principal_module(pair.factors)
+    assert m0 == principal_module(pair.g0.factors)
     assert m0.dim == pair.dim_g0 and m1.dim == pair.dim_g1
     # the recorded diagram is the unique even match for the total module
     want = module_profile(m0 + m1)
     hits = [labels for labels in product((0, 2), repeat=t.rank)
             if layer_profile(t, labels) == want]
     assert hits == [exceptional_lookup(t, label).wdd.labels]
-    assert pd.ambient_wdd().labels == hits[0]
+    assert pd.orbit.wdd.labels == hits[0]
 
 
 @pytest.mark.parametrize("key", sorted(ORBITS))
@@ -119,10 +119,21 @@ def test_tampered_record_fails_the_tables_suite(monkeypatch):
     assert passed["E7 PI orbit"] and passed["E8 PI"]
 
 
+def test_reductive_types_render_back_to_the_published_strings():
+    # the published type is read by parse_factors; its dimension must be
+    # the one the diagram's layers give, d(0) - d(2)
+    assert len(_ORBIT_ROWS) == len(ORBITS) == 12
+    for ts, label, _, red, _ in _ORBIT_ROWS:
+        rec = ORBITS[(ts, label)]
+        assert str(rec.red) == red, (ts, label)
+        assert rec.red.dim == rec.dim_red, (ts, label)
+        assert rec.red.is_toral == (red == "0" or red.startswith("t"))
+
+
 def test_lookup_errors_list_known_labels():
     t = SimpleType("E", 6)
     rec = exceptional_lookup(t, "E6(a3)")
-    assert rec.dim_centralizer == 12 and rec.red_type == "0"
+    assert rec.dim_centralizer == 12 and str(rec.red) == "0"
     with pytest.raises(KeyError) as err:
         exceptional_lookup(t, "E6(b17)")
     assert "E6(a1)" in str(err.value)
@@ -134,7 +145,7 @@ def test_every_exceptional_pair_has_a_record():
         for p in catalog(t):
             pd = decompose(p)
             assert pd.m0.dim + pd.m1.dim == t.dimension
-            assert PUBLISHED[(ts, p.descriptor)][2] == pd.orbit_label
+            assert PUBLISHED[(ts, p.descriptor)][2] == pd.orbit.label
 
 
 def test_table_rows():
@@ -142,4 +153,4 @@ def test_table_rows():
         == (0, 2)
     assert exceptional_lookup(SimpleType("E", 8), "E8(a4)").dim_nil == 16
     e7 = exceptional_lookup(SimpleType("E", 7), "E6(a1)")
-    assert (e7.dim_centralizer, e7.red_type, e7.dim_nil) == (15, "t1", 14)
+    assert (e7.dim_centralizer, str(e7.red), e7.dim_nil) == (15, "t1", 14)

@@ -36,7 +36,7 @@ def test_decompose_hermitian_so():
     pd = decompose(pair("D5", "gl5"))
     assert pd.m0 == SL2Module.parse("R0+R2+R4+R6+R8")
     assert pd.m1 == SL2Module.parse("2*R2+2*R6")
-    assert pd.ambient_partition.parts == (5, 5)
+    assert pd.orbit.partition.parts == (5, 5)
 
 
 def test_decompose_split_sl():
@@ -222,7 +222,7 @@ def test_ambient_module_matches_pair_modules():
     # ambient diagram is M0 + M1
     for p in swept_pairs(8, include_exceptional=False):
         pd = decompose(p)
-        assert pd.ambient_wdd().module() == pd.m0 + pd.m1, p
+        assert pd.orbit.wdd.module() == pd.m0 + pd.m1, p
 
 
 def test_cached_decomposition_is_read_only():

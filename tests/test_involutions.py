@@ -1,10 +1,11 @@
 import pytest
 
 from nilorbits import involutions
-from nilorbits.involutions import (SatakeDiagram, catalog, ibn_signature,
-                                   identify_ibn, maximal_rank, orbit_meets_g1,
-                                   pair_by_descriptor, pi_involution,
-                                   so_pair_ibn)
+from nilorbits.involutions import (Reductive, SatakeDiagram, catalog,
+                                   factor_str, ibn_signature, identify_ibn,
+                                   maximal_rank, orbit_meets_g1,
+                                   pair_by_descriptor, parse_factors,
+                                   pi_involution, so_pair_ibn)
 from nilorbits.orbits import (ClassicalOrbit, Partition, WeightedDynkinDiagram,
                               wdd_from_partition)
 from nilorbits.roots import SimpleType, all_simple_types
@@ -142,7 +143,7 @@ def test_so_pair_ibn_rule():
             continue
         for p in catalog(t):
             if p.descriptor.startswith("so"):
-                a, b = (f[1] for f in p.factors)
+                a, b = (f[1] for f in p.g0.factors)
                 assert p.satake.ibn == so_pair_ibn(max(a, 1), max(b, 1)), \
                     (str(t), p.descriptor)
 
@@ -197,6 +198,63 @@ def test_descriptor_normalisation():
         == "so6+so4"
     with pytest.raises(KeyError):
         pair_by_descriptor(b4, "gl4")
+
+
+def _cartan_form(f) -> str:
+    kind, n = f
+    if kind == "so" and n >= 3:
+        return f"{'B' if n % 2 else 'D'}{n // 2}"
+    return f"C{n // 2}" if kind == "sp" else factor_str(f)
+
+
+def test_every_class_resolves_from_each_form_of_its_descriptor():
+    classes = 0
+    for t in all_simple_types(24):
+        for p in catalog(t):
+            classes += 1
+            factors = p.g0.factors
+            forms = [p.descriptor, f"s({p.descriptor})",
+                     "+".join(factor_str(f) for f in reversed(factors))]
+            if t.ambient is not None:
+                forms.append("+".join(_cartan_form(f) for f in factors))
+            if t.family in "BD" and factors[0][0] == "so":
+                forms += [factor_str(f) for f in factors]  # bare so<k>
+            for text in forms:
+                assert pair_by_descriptor(t, text) is p, (str(t), text)
+    assert classes == 983
+
+
+def test_exceptional_descriptors_in_either_order():
+    e6, g2 = SimpleType("E", 6), SimpleType("G", 2)
+    assert pair_by_descriptor(e6, "A1+A5").descriptor == "A5+A1"
+    assert pair_by_descriptor(e6, "t1+D5").descriptor == "D5+t1"
+    assert pair_by_descriptor(g2, "A1~+A1").descriptor == "A1+A1~"
+
+
+def test_parse_factors():
+    assert parse_factors("so8+so1") == (("so", 8), ("so", 1))
+    assert parse_factors("A5+A1~") == (("A", 5), ("A~", 1))
+    assert parse_factors("t1") == (("t", 1),)
+    assert parse_factors("0") == ()
+    for text, part in (("so8+soX", "'soX'"), ("gl", "'gl'"), ("B1~", "'B1~'"),
+                       ("sl²", "'sl²'"), ("so+so4", "'so'")):
+        with pytest.raises(ValueError, match=part):
+            parse_factors(text)
+    for text in ("", "gl2+", "+A1"):
+        with pytest.raises(ValueError, match="empty part"):
+            parse_factors(text)
+
+
+def test_reductive_numbers():
+    g0 = Reductive((("gl", 2), ("gl", 3)), traced=True)
+    assert (g0.dim, g0.rank, g0.center_dim) == (12, 4, 1)
+    assert not g0.is_toral and str(g0) == "s(gl2+gl3)"
+    assert g0.descriptor == "gl2+gl3"
+    e6 = Reductive((("D", 5), ("t", 1)))
+    assert (e6.dim, e6.rank, e6.center_dim) == (46, 6, 1)
+    assert str(Reductive((("so", 2), ("so", 1)))) == "t1"
+    assert str(Reductive((("gl", 1), ("gl", 1)), traced=True)) == "t1"
+    assert str(Reductive((("A", 1), ("A~", 1)))) == "A1+A1~"
 
 
 def test_satake_arrow_validation():

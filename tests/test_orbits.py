@@ -159,6 +159,56 @@ def test_reductive_type_strings():
         ClassicalOrbit("so", 9, Partition.parse("(5,3,1)")))) == "0"
 
 
+# The per-kind rules the one Reductive value replaced, kept as references:
+# a centraliser is toral when it has only gl_1, so_1, so_2 and sp_0
+# factors, and its name drops so_1 and writes a lone traced gl_k as sl_k.
+
+def _reference_dim(factors, traced) -> int:
+    dims = {"gl": lambda m: m * m, "so": lambda m: m * (m - 1) // 2,
+            "sp": lambda m: m * (m + 1) // 2}
+    return sum(dims[kind](m) for kind, m in factors) - traced
+
+
+def _reference_is_toral(factors) -> bool:
+    for kind, m in factors:
+        if kind == "gl" and m > 1:
+            return False
+        if kind == "so" and m > 2:
+            return False
+        if kind == "sp" and m > 0:
+            return False
+    return True
+
+
+def _reference_str(factors, traced) -> str:
+    dim = _reference_dim(factors, traced)
+    if dim == 0:
+        return "0"
+    if _reference_is_toral(factors):
+        return f"t{dim}"
+    live = [(kind, m) for kind, m in factors
+            if not (kind == "so" and m <= 1)]
+    if traced and len(live) == 1 and live[0][0] == "gl":
+        return f"sl{live[0][1]}"
+    inner = "+".join(f"{kind}{m}" for kind, m in live)
+    return f"s({inner})" if traced else inner
+
+
+def test_reductive_type_matches_the_per_kind_rules():
+    orbits = [o for kind, sizes in (("sl", range(1, 17)),
+                                    ("so", range(1, 19)),
+                                    ("sp", range(0, 19, 2)))
+              for n in sizes for o in valid_partitions(kind, n)]
+    assert len(orbits) == 1830
+    for o in orbits:
+        red = reductive_type(o)
+        want = (_reference_dim(red.factors, red.traced),
+                _reference_is_toral(red.factors),
+                _reference_str(red.factors, red.traced))
+        assert (red.dim, red.is_toral, str(red)) == want, str(o)
+        assert o.red == red and is_almost_distinguished(o) == red.is_toral
+
+
 def test_distinguished_predicates():
     o = ClassicalOrbit("so", 9, Partition.parse("(5,3,1)"))
     assert is_distinguished(o) and is_almost_distinguished(o)

