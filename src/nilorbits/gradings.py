@@ -11,7 +11,8 @@ identify the classes of the derived involutions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import zip_longest
 from math import comb
 
 from . import exceptional as exc
@@ -89,7 +90,13 @@ def regular_e_partition(pair: SymmetricPair) -> Partition:
 class PairDecomposition:
     """sl2-module structure of g0 and g1 for a triple through e in g0,
     and the orbit of e in g: a ClassicalOrbit of the matrix ambient or an
-    ExceptionalOrbit record."""
+    ExceptionalOrbit record.
+
+    The grid, the upsilon result and the parity of e are stored on the
+    instance when first computed; read them through `grading_grid(pd)`,
+    `upsilon(pd)` and `e_is_even`.  They are not fields, so equality and
+    hashing see only the four fields.
+    """
 
     pair: SymmetricPair
     m0: SL2Module
@@ -108,9 +115,19 @@ class PairDecomposition:
                              f"{self.orbit.label} must be all even or all "
                              "odd")
 
-    @property
+    @cached_property
     def e_is_even(self) -> bool:
         return self.m0.weights_all_even() and self.m1.weights_all_even()
+
+    @cached_property
+    def _grid(self) -> MixedGrading:
+        size = max(self.m0.max_weight, self.m1.max_weight) + 1
+        return MixedGrading(_grid_row(self.m0, size),
+                            _grid_row(self.m1, size))
+
+    @cached_property
+    def _upsilon(self) -> UpsilonResult:
+        return _identify_derived(self)
 
 
 def decompose_classical(pair: SymmetricPair,
@@ -206,9 +223,14 @@ class MixedGrading:
     def m1(self) -> int:
         return max((i for i, v in enumerate(self.row1) if v), default=0)
 
-    @property
-    def support(self) -> range:
-        return range(0, max(len(self.row0), len(self.row1)))
+    @cached_property
+    def profile(self) -> tuple[int, ...]:
+        """(dim g(0), dim g(1), ...) up to the last nonzero layer."""
+        totals = [a + b for a, b in zip_longest(self.row0, self.row1,
+                                                fillvalue=0)]
+        while totals and not totals[-1]:
+            totals.pop()
+        return tuple(totals)
 
     @property
     def dim_g0(self) -> int:
@@ -252,15 +274,20 @@ class MixedGrading:
                 "d1": {str(i): v for i, v in enumerate(self.row1) if v}}
 
 
+def _grid_row(module: SL2Module, size: int) -> tuple[int, ...]:
+    """dim of the i-eigenspace for i < size: R(w) has the eigenvalues
+    w, w-2, ..., -w, so d(i) = mult(i) + d(i+2), one downward pass."""
+    row = [0] * (size + 2)
+    for w, m in module.mult.items():
+        row[w] = m
+    for i in range(size - 1, -1, -1):
+        row[i] += row[i + 2]
+    return tuple(row[:size])
+
+
 def grading_grid(pd: PairDecomposition) -> MixedGrading:
-    size = max(pd.m0.max_weight, pd.m1.max_weight) + 1
-    rows = ([0] * size, [0] * size)
-    # R(w) has the eigenvalues w, w-2, ..., -w: one pass over the summands
-    for row, module in zip(rows, (pd.m0, pd.m1)):
-        for w, m in module.mult.items():
-            for i in range(w % 2, w + 1, 2):
-                row[i] += m
-    return MixedGrading(tuple(rows[0]), tuple(rows[1]))
+    """The grid of pd, built once per decomposition."""
+    return pd._grid
 
 
 def check_02(mg: MixedGrading) -> bool:
@@ -311,8 +338,13 @@ class UpsilonResult:
                 "diff_cross": self.diff_cross}
 
 
-@lru_cache(maxsize=None)
 def upsilon(pd: PairDecomposition) -> UpsilonResult:
+    """The derived involution classes of pd, identified once per
+    decomposition."""
+    return pd._upsilon
+
+
+def _identify_derived(pd: PairDecomposition) -> UpsilonResult:
     """Identify the derived involution classes from the signed module
     counts.
 

@@ -84,15 +84,15 @@ class Reductive:
     def _sum(self, i: int) -> int:
         return sum(_factor_numbers(f)[i] for f in self.factors) - self.traced
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return self._sum(0)
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return self._sum(1)
 
-    @property
+    @cached_property
     def center_dim(self) -> int:
         return self._sum(2)
 
@@ -359,14 +359,24 @@ def so_pair_ibn(n: int, m: int) -> bool:
     return abs(n - m) <= 4
 
 
+@lru_cache(maxsize=None)
+def _ibn_by_signature(t: SimpleType) -> dict[int, tuple[SymmetricPair, ...]]:
+    """The IBN classes of t by signature, each in catalog order."""
+    index: dict[int, tuple[SymmetricPair, ...]] = {}
+    for p in catalog(t):
+        if p.satake.ibn:
+            sig = ibn_signature(p.satake)
+            index[sig] = index.get(sig, ()) + (p,)
+    return index
+
+
 def identify_ibn(t: SimpleType, diff: int, inner: bool | None = None,
                  wdd=None) -> SymmetricPair:
     """The IBN class with dim g1 - dim g0 = diff, optionally of the given
     component and meeting the orbit with weighted diagram wdd (which
     separates the D4 triality twins)."""
-    hits = [p for p in catalog(t)
-            if p.satake.ibn and (inner is None or p.inner == inner)
-            and ibn_signature(p.satake) == diff
+    hits = [p for p in _ibn_by_signature(t).get(diff, ())
+            if (inner is None or p.inner == inner)
             and (wdd is None or orbit_meets_g1(wdd, p.satake))]
     if len(hits) == 1:
         return hits[0]

@@ -118,7 +118,7 @@ class ClassicalOrbit:
     def label(self) -> str:
         return str(self.partition)
 
-    @property
+    @cached_property
     def wdd(self) -> WeightedDynkinDiagram:
         return wdd_from_partition(self)
 
@@ -158,7 +158,7 @@ class WeightedDynkinDiagram:
         if any(v not in (0, 1, 2) for v in self.labels):
             raise ValueError(f"labels must lie in {{0,1,2}}: {self.labels}")
 
-    @property
+    @cached_property
     def zeros(self) -> frozenset[int]:
         return frozenset(i for i, v in enumerate(self.labels) if v == 0)
 
@@ -168,27 +168,29 @@ class WeightedDynkinDiagram:
         return all(not (adj[i] & z) for i in z)
 
     @cached_property
-    def height_counts(self) -> dict[int, int]:
-        """Number of positive roots at each weighted height <alpha, labels>."""
-        return Counter(
+    def profile(self) -> tuple[int, ...]:
+        """(dim g(0), dim g(1), ...) of the grading cut out by the labels,
+        up to the last nonzero layer: g(i) for i > 0 is spanned by the
+        positive roots of weighted height <alpha, labels> = i."""
+        counts = Counter(
             build_root_system(self.type).weighted_heights(self.labels))
+        return (self.type.rank + 2 * counts[0],) + tuple(
+            counts[i] for i in range(1, max(counts, default=0) + 1))
 
     def dim_centralizer_of_h(self) -> int:
         """dim of the zero layer of the grading cut out by the labels."""
-        return self.type.rank + 2 * self.height_counts.get(0, 0)
+        return self.profile[0]
 
     def layer_dim(self, i: int) -> int:
         """dim of the i-layer of the grading cut out by the labels."""
-        if i == 0:
-            return self.dim_centralizer_of_h()
-        return self.height_counts.get(abs(i), 0)
+        i = abs(i)
+        return self.profile[i] if i < len(self.profile) else 0
 
     def module(self) -> SL2Module:
         """g under a triple with this characteristic: R(w) with
         multiplicity dim g(w) - dim g(w+2)."""
-        top = max(self.height_counts, default=0)
         return SL2Module({w: self.layer_dim(w) - self.layer_dim(w + 2)
-                          for w in range(top + 1)})
+                          for w in range(len(self.profile))})
 
     def render(self) -> str:
         return render_labelled_diagram(self.type, self.labels)

@@ -88,7 +88,7 @@ class SimpleType:
     def dimension(self) -> int:
         return self.rank + 2 * self.num_positive_roots
 
-    @property
+    @cached_property
     def num_positive_roots(self) -> int:
         n = self.rank
         return {"A": n * (n + 1) // 2, "B": n * n, "C": n * n,

@@ -360,9 +360,7 @@ def suite_regular(max_rank: int = 8) -> VerificationReport:
         rep.add(f"{cid} g^h", "dim g^h = rank + 2#zeros",
                 pair.g.rank + 2 * k, mg.total(0))
         rep.add(f"{cid} g^h layers", "grid matches diagram layer dims",
-                True,
-                all(mg.total(i) == wdd.layer_dim(i)
-                    for i in mg.support))
+                True, mg.profile == wdd.profile)
         nil = mg.dim_nil
         bound = 2 * pair.g0.rank
         rep.add(f"{cid} nil bound", "dim nil <= 2 rk(g0)", True, nil <= bound)

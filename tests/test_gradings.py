@@ -1,6 +1,7 @@
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, strategies as st
 
 from nilorbits.gradings import (check_02, check_04, check_4k2,
                                 collapsing_defect, d00_closed_form,
@@ -8,6 +9,7 @@ from nilorbits.gradings import (check_02, check_04, check_4k2,
                                 decompose_exceptional, dim_fixed_check,
                                 dim_fixed_cross, divisibility_report,
                                 grading_grid, MixedGrading,
+                                PairDecomposition,
                                 regular_e_partition, upsilon)
 from nilorbits.involutions import catalog, pair_by_descriptor
 from nilorbits.orbits import Partition
@@ -98,7 +100,7 @@ def test_grid_invariants_over_catalog():
     for t in all_simple_types(8):
         for p in catalog(t):
             mg = grading_grid(decompose(p))
-            for i in mg.support:
+            for i in range(len(mg.row0)):
                 assert mg.d(0, i) == mg.d(0, -i)
                 assert mg.d(0, i) >= mg.d(0, i + 2)
                 assert mg.d(1, i) >= mg.d(1, i + 2)
@@ -202,19 +204,76 @@ def test_grid_render_contains_boxes():
 
 
 def test_cached_decompose_matches_fresh():
-    # decompose and upsilon are memoized per process; the cached values
-    # must be what a fresh call computes, and one shared object per key
+    # decompose is memoized per pair, and each decomposition keeps its grid
+    # and upsilon result; the stored values must be what a fresh
+    # decomposition computes, and a repeated call returns the same object
     for p in swept_pairs(16):
         pd, fresh = decompose(p), decompose.__wrapped__(p)
+        assert fresh is not pd
         assert decompose(p) is pd, p
         for f in fields(pd):
             assert getattr(pd, f.name) == getattr(fresh, f.name), (p, f.name)
+        mg, fresh_mg = grading_grid(pd), grading_grid(fresh)
+        assert grading_grid(pd) is mg, p
+        for f in fields(mg):
+            assert getattr(mg, f.name) == getattr(fresh_mg, f.name), \
+                (p, f.name)
+        assert pd.e_is_even == fresh.e_is_even, p
         if not pd.e_is_even:
             continue
-        u, fresh_u = upsilon(pd), upsilon.__wrapped__(pd)
+        u, fresh_u = upsilon(pd), upsilon(fresh)
         assert upsilon(pd) is u, p
         for f in fields(u):
             assert getattr(u, f.name) == getattr(fresh_u, f.name), (p, f.name)
+
+
+def _reference_rows(m0: SL2Module, m1: SL2Module):
+    """The grid rows one weight at a time, as eigenspace dimensions."""
+    size = max(m0.max_weight, m1.max_weight) + 1
+    return (tuple(m0.eigen_dim(i) for i in range(size)),
+            tuple(m1.eigen_dim(i) for i in range(size)))
+
+
+def test_grid_rows_match_eigenspace_dims_on_swept_pairs():
+    for p in swept_pairs(16):
+        pd = decompose(p)
+        mg = grading_grid(pd)
+        assert (mg.row0, mg.row1) == _reference_rows(pd.m0, pd.m1), p
+
+
+def _unchecked_decomposition(m0: SL2Module, m1: SL2Module):
+    """A decomposition of two arbitrary modules, without the dimension
+    check against a pair, to reach the grid kernel on any input."""
+    pd = object.__new__(PairDecomposition)
+    for name, value in (("pair", None), ("m0", m0), ("m1", m1),
+                        ("orbit", None)):
+        object.__setattr__(pd, name, value)
+    return pd
+
+
+modules = st.dictionaries(st.integers(0, 14), st.integers(0, 3),
+                          max_size=6).map(SL2Module)
+
+
+@given(modules, modules)
+def test_grid_rows_match_eigenspace_dims(m0, m1):
+    # any weights, odd ones and the zero module included
+    mg = grading_grid(_unchecked_decomposition(m0, m1))
+    assert (mg.row0, mg.row1) == _reference_rows(m0, m1)
+
+
+def test_grid_of_zero_modules():
+    mg = grading_grid(_unchecked_decomposition(SL2Module(), SL2Module()))
+    assert (mg.row0, mg.row1) == ((0,), (0,))
+    assert mg.profile == ()
+
+
+def test_grid_profile_is_the_diagram_profile():
+    # the grid of a regular e in g0 is the grading of g by its
+    # characteristic, layer for layer and with the same top layer
+    for p in swept_pairs(16):
+        pd = decompose(p)
+        assert grading_grid(pd).profile == pd.orbit.wdd.profile, p
 
 
 def test_ambient_module_matches_pair_modules():

@@ -97,6 +97,9 @@ def check_layer_dims(wdd, dim_centralizer):
 
 
 def test_height_counts_match_direct_count_to_rank_24():
+    # the layer profile against a direct count of roots by weighted
+    # height, and layer_dim against the reading of that count: rank +
+    # 2 #(height 0) at 0, #(height |i|) elsewhere, 0 above the top
     rng = random.Random(20242)
     for t in all_simple_types(24):
         roots = build_root_system(t).positive_roots
@@ -104,8 +107,15 @@ def test_height_counts_match_direct_count_to_rank_24():
             labels = tuple(rng.choice((0, 1, 2)) for _ in range(t.rank))
             direct = Counter(sum(c * v for c, v in zip(r.coeffs, labels))
                              for r in roots)
-            assert WeightedDynkinDiagram(t, labels).height_counts == direct, \
-                (str(t), labels)
+            top = max(direct)
+            wdd = WeightedDynkinDiagram(t, labels)
+            assert wdd.profile == (t.rank + 2 * direct[0],) + tuple(
+                direct[i] for i in range(1, top + 1)), (str(t), labels)
+            assert wdd.profile[-1] != 0
+            for i in range(-top - 3, top + 4):
+                want = (t.rank + 2 * direct.get(0, 0) if i == 0
+                        else direct.get(abs(i), 0))
+                assert wdd.layer_dim(i) == want, (str(t), labels, i)
 
 
 def test_layer_dims_classical():

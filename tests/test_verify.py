@@ -1,6 +1,8 @@
 import pytest
 
-from nilorbits.verify import _RANK_BOUNDED, run_suite
+from nilorbits import verify
+from nilorbits.gradings import MixedGrading, decompose, grading_grid
+from nilorbits.verify import _RANK_BOUNDED, run_suite, swept_pairs
 
 
 @pytest.mark.parametrize("bound", [2, 5, 8, 12])
@@ -10,3 +12,24 @@ def test_rank_bounded_suites_ok_at_every_bound(bound):
     for name in sorted(_RANK_BOUNDED):
         rep = run_suite(name, max_rank=bound)
         assert rep.ok, f"{name} at --max-rank {bound}\n{rep.render()}"
+
+
+def test_regular_suite_sees_a_diagram_layer_above_the_grid(monkeypatch):
+    # a grid that stops one layer short of the diagram: every layer the
+    # grid has still matches, so only a comparison of the whole profiles
+    # shows the missing top layer
+    def cut_top(pd):
+        mg = grading_grid(pd)
+        return MixedGrading(mg.row0[:-1], mg.row1[:-1])
+
+    monkeypatch.setattr(verify, "grading_grid", cut_top)
+    rep = run_suite("regular", max_rank=6)
+    layers = {c.case_id: c.passed for c in rep.cases
+              if c.case_id.endswith(" g^h layers")}
+    assert layers and not any(layers.values())
+    for p in swept_pairs(6):
+        pd = decompose(p)
+        mg, wdd = cut_top(pd), pd.orbit.wdd
+        assert all(mg.total(i) == wdd.layer_dim(i)
+                   for i in range(len(mg.row0))), p
+        assert mg.profile != wdd.profile, p
