@@ -29,7 +29,8 @@ print("eigenvalue dimensions d(i) of M1:",
       [m1.eigen_dim(i) for i in range(0, 18, 2)])
 
 print()
-print("signed counts over R(2k):")
-print(f"  M0 with (-1)^k      -> {m0.signed_count('even_plus')}")
-print(f"  M1 with (-1)^k      -> {m1.signed_count('even_plus')}")
-print(f"  M1 with (-1)^(k+1)  -> {m1.signed_count('odd_flip')}")
+s0, s1 = m0.signed_count(), m1.signed_count()
+print("signed counts, R(2k) weighed by (-1)^k:")
+print(f"  s0 = {s0},  s1 = {s1}")
+print(f"  sigma-check:        s0 + s1 = {s0 + s1}")
+print(f"  sigma sigma-check:  s0 - s1 = {s0 - s1}")

@@ -5,13 +5,15 @@ Symmetric pairs and Satake combinatorics
 Every involution class is recorded with its fixed algebra, dimensions and
 Satake diagram.  For diagrams with only isolated black nodes (IBN) the
 difference dim g1 - dim g0 equals rank - 2 #arrows - 4 #black, and that
-signature identifies the class.
+signature identifies the class: upsilon reads it off the signed module
+counts of a pair's decomposition.
 """
 
 from nilorbits.exceptional import exceptional_lookup
-from nilorbits.involutions import (catalog, ibn_signature, identify_ibn,
-                                   orbit_meets_g1, pair_by_descriptor,
-                                   pi_involution, so_pair_ibn)
+from nilorbits.gradings import decompose, upsilon
+from nilorbits.involutions import (catalog, ibn_signature, orbit_meets_g1,
+                                   pair_by_descriptor, pi_involution,
+                                   so_pair_ibn)
 from nilorbits.roots import SimpleType
 
 for name in ("A3", "B3", "D5", "E6", "E7"):
@@ -26,11 +28,15 @@ for name in ("A3", "B3", "D5", "E6", "E7"):
               f"{p.satake.render():28s} {tag}")
     print()
 
-print("signature identification:")
-for t, sig in [(SimpleType("D", 5), 3), (SimpleType("E", 7), -5)]:
-    p = identify_ibn(t, sig)
-    print(f"  {t}, dim g1 - dim g0 = {sig:3d} -> {p.descriptor} "
-          f"(check: {ibn_signature(p.satake)})")
+print("signature identification through upsilon(decompose(pair)):")
+for name, g0 in [("D5", "gl5"), ("E7", "A7")]:
+    u = upsilon(decompose(pair_by_descriptor(SimpleType.parse(name), g0)))
+    for role, q, diff in (("sigma-check", u.sigma_check, u.diff_check),
+                          ("sigma sigma-check", u.sigma_sigma_check,
+                           u.diff_cross)):
+        print(f"  {name}/{g0} {role + ':':18s} dim g1 - dim g0 = "
+              f"{-diff:3d} -> {q.descriptor} "
+              f"(check: {ibn_signature(q.satake)})")
 
 print()
 print("so-pair IBN rule: |n - m| <= 4")

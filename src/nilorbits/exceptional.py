@@ -14,14 +14,14 @@ d(i) of the diagram:
 (tests check that each pair's diagram is the only even label vector whose
 layers match the published M0+M1).
 
-Extension format: add a row (type, Bala-Carter label, diagram labels,
-reductive type, divisible or None) to _ORBIT_ROWS; ORBITS is keyed by
-(type string, label).  The reductive type is text that
-`involutions.parse_factors` reads: '0', 't1', 'A1', 'A2+t1' and so on.
-For a symmetric pair, add an entry (type string, catalog descriptor of
-g0) -> orbit label to PAIR_ORBITS.  The sl2-modules
-M0 and M1 are not recorded: M0 is the principal module of g0 and M0+M1 is
-`wdd.module()` of the labelled orbit.
+Extension format: one row per symmetric pair in _ORBIT_ROWS, (type,
+catalog descriptor of g0, Bala-Carter label of the orbit through an element
+regular in g0, diagram labels, reductive type, divisible or None).  ORBITS
+is keyed by (type string, label) and PAIR_ORBITS by (type string, g0).
+The reductive type is text that `involutions.parse_factors` reads: '0',
+'t1', 'A1', 'A2+t1' and so on.  The sl2-modules M0 and M1 are not
+recorded: M0 is the principal module of g0 and M0+M1 is `wdd.module()` of
+the labelled orbit.
 """
 
 from __future__ import annotations
@@ -62,23 +62,29 @@ def _orbit(type_str, label, labels, red, divisible):
 
 
 _ORBIT_ROWS = [
-    # type, label, diagram labels, red type, divisible
-    ("E6", "E6",     (2, 2, 2, 2, 2, 2), "0", None),
-    ("E6", "E6(a1)", (2, 2, 2, 0, 2, 2), "0", True),
-    ("E6", "E6(a3)", (2, 0, 0, 2, 0, 2), "0", None),
-    ("E6", "D5",     (2, 2, 0, 2, 0, 2), "t1", None),
-    ("E7", "E6(a1)", (2, 0, 0, 2, 0, 2, 0), "t1", True),
-    ("E7", "E7(a3)", (2, 0, 0, 2, 0, 2, 2), "0", None),
-    ("E7", "E6",     (2, 0, 2, 2, 0, 2, 0), "A1", None),
-    ("E8", "E8(a4)", (2, 0, 0, 2, 0, 2, 0, 2), "0", True),
-    ("E8", "E8(b4)", (2, 0, 0, 2, 0, 2, 2, 2), "0", None),
-    ("F4", "F4(a2)", (2, 0, 2, 0), "0", None),
-    ("F4", "F4(a1)", (2, 0, 2, 2), "0", None),
-    ("G2", "G2(a1)", (0, 2), "0", None),
+    # type, g0, label, diagram labels, red type, divisible
+    ("E6", "F4",      "E6",     (2, 2, 2, 2, 2, 2), "0", None),
+    ("E6", "C4",      "E6(a1)", (2, 2, 2, 0, 2, 2), "0", True),
+    ("E6", "A5+A1",   "E6(a3)", (2, 0, 0, 2, 0, 2), "0", None),
+    ("E6", "D5+t1",   "D5",     (2, 2, 0, 2, 0, 2), "t1", None),
+    ("E7", "A7",      "E6(a1)", (2, 0, 0, 2, 0, 2, 0), "t1", True),
+    ("E7", "D6+A1",   "E7(a3)", (2, 0, 0, 2, 0, 2, 2), "0", None),
+    ("E7", "E6+t1",   "E6",     (2, 0, 2, 2, 0, 2, 0), "A1", None),
+    ("E8", "D8",      "E8(a4)", (2, 0, 0, 2, 0, 2, 0, 2), "0", True),
+    ("E8", "E7+A1",   "E8(b4)", (2, 0, 0, 2, 0, 2, 2, 2), "0", None),
+    ("F4", "C3+A1",   "F4(a2)", (2, 0, 2, 0), "0", None),
+    ("F4", "B4",      "F4(a1)", (2, 0, 2, 2), "0", None),
+    ("G2", "A1+A1~",  "G2(a1)", (0, 2), "0", None),
 ]
 
 ORBITS: dict[tuple[str, str], ExceptionalOrbit] = {
-    (row[0], row[1]): _orbit(*row) for row in _ORBIT_ROWS}
+    (ts, label): _orbit(ts, label, *rest)
+    for ts, _, label, *rest in _ORBIT_ROWS}
+
+# (ambient, fixed-algebra descriptor) -> label of the orbit through an
+# element regular in g0, from which `gradings.decompose_exceptional`
+# derives (M0, M1)
+PAIR_ORBITS = {(ts, g0): label for ts, g0, label, *_ in _ORBIT_ROWS}
 
 
 def exceptional_lookup(t: SimpleType, label: str) -> ExceptionalOrbit:
@@ -89,21 +95,3 @@ def exceptional_lookup(t: SimpleType, label: str) -> ExceptionalOrbit:
                        f"known labels: {known}")
     return ORBITS[key]
 
-
-# (ambient, fixed-algebra descriptor) -> Bala-Carter label of the orbit
-# through an element regular in g0; `gradings.decompose_exceptional` derives
-# (M0, M1) from this diagram and the principal diagrams of g0's factors.
-PAIR_ORBITS: dict[tuple[str, str], str] = {
-    ("E6", "C4"): "E6(a1)",
-    ("E6", "A5+A1"): "E6(a3)",
-    ("E6", "F4"): "E6",
-    ("E6", "D5+t1"): "D5",
-    ("E7", "A7"): "E6(a1)",
-    ("E7", "D6+A1"): "E7(a3)",
-    ("E7", "E6+t1"): "E6",
-    ("E8", "D8"): "E8(a4)",
-    ("E8", "E7+A1"): "E8(b4)",
-    ("F4", "C3+A1"): "F4(a2)",
-    ("F4", "B4"): "F4(a1)",
-    ("G2", "A1+A1~"): "G2(a1)",
-}

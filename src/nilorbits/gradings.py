@@ -359,9 +359,8 @@ def _identify_derived(pd: PairDecomposition) -> UpsilonResult:
     if pd.m0.max_weight == 0 and pd.m1.max_weight == 0:
         raise ValueError(f"e = 0 in {pd.pair} (g0 is a torus); the derived "
                          "involution degenerates to the identity")
-    s0 = pd.m0.signed_count("even_plus")
-    diff_check = s0 + pd.m1.signed_count("even_plus")
-    diff_cross = s0 + pd.m1.signed_count("odd_flip")
+    s0, s1 = pd.m0.signed_count(), pd.m1.signed_count()
+    diff_check, diff_cross = s0 + s1, s0 - s1
     wdd = pd.orbit.wdd
     sigma_check = identify_ibn(pd.pair.g, -diff_check, True, wdd)
     sigma_sigma_check = identify_ibn(pd.pair.g, -diff_cross, pd.pair.inner,
@@ -393,13 +392,6 @@ class DivisibilityReport:
     e_almost_distinguished: bool
     half_almost_distinguished: bool
     half_partition: Partition | None
-
-    @property
-    def all_pass(self) -> bool:
-        return all((self.grid_equalities, self.no_r2_in_odd_part,
-                    self.g0_semisimple, self.orbit_divisible,
-                    self.e_almost_distinguished,
-                    self.half_almost_distinguished))
 
     def failures(self) -> list[str]:
         names = ["grid_equalities", "no_r2_in_odd_part", "g0_semisimple",

@@ -370,21 +370,19 @@ def _ibn_by_signature(t: SimpleType) -> dict[int, tuple[SymmetricPair, ...]]:
     return index
 
 
-def identify_ibn(t: SimpleType, diff: int, inner: bool | None = None,
-                 wdd=None) -> SymmetricPair:
-    """The IBN class with dim g1 - dim g0 = diff, optionally of the given
-    component and meeting the orbit with weighted diagram wdd (which
-    separates the D4 triality twins)."""
+def identify_ibn(t: SimpleType, diff: int, inner: bool, wdd) -> SymmetricPair:
+    """The IBN class of the given component with dim g1 - dim g0 = diff
+    meeting the orbit with weighted diagram wdd (which separates the D4
+    triality twins)."""
     hits = [p for p in _ibn_by_signature(t).get(diff, ())
-            if (inner is None or p.inner == inner)
-            and (wdd is None or orbit_meets_g1(wdd, p.satake))]
+            if p.inner == inner and orbit_meets_g1(wdd, p.satake)]
     if len(hits) == 1:
         return hits[0]
-    meets = "" if wdd is None else f" meeting the orbit {wdd.labels}"
+    meets = f" meeting the orbit {wdd.labels}"
     if not hits:
         sigs = sorted((ibn_signature(p.satake), p.descriptor)
                       for p in catalog(t) if p.satake.ibn
-                      and (inner is None or p.inner == inner))
+                      and p.inner == inner)
         raise KeyError(f"no IBN class of {t} with signature {diff}{meets}; "
                        f"available: {sigs}")
     raise KeyError(f"signature {diff} is ambiguous for {t}{meets}: "

@@ -1,13 +1,13 @@
 """Exact linear algebra over the integers and rationals.
 
 Products and commutators work on dense lists of lists.  rank and
-eigenspace_dim take a list of integer rows, each a dense list or a sparse
-{column: value} dict; they and solve_in_span share one elimination, which
-reduces sparse integer rows one at a time against an echelon set of
-primitive rows.  The elimination copies on write: a row is copied when it
-is first reduced, a row that joins the echelon unchanged is kept as it is,
-and no function here changes its arguments.  No floating point, modular or
-probabilistic step is involved anywhere.
+eigenspace_dim take sparse integer rows, each a {column: value} dict; they
+and solve_in_span share one elimination, which reduces sparse integer rows
+one at a time against an echelon set of primitive rows.  The elimination
+copies on write: a row is copied when it is first reduced, a row that joins
+the echelon unchanged is kept as it is, and no function here changes its
+arguments.  No floating point, modular or probabilistic step is involved
+anywhere.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from math import gcd, inf
 
 Matrix = list[list[int]]
 SparseRow = dict[int, int]  # column -> nonzero value
-Row = list[int] | SparseRow
 
 
 def zeros(r: int, c: int) -> Matrix:
@@ -102,39 +101,21 @@ def _eliminate(rows: list[SparseRow], echelon: dict[int, SparseRow],
     return r
 
 
-def rank(rows: list[Row]) -> int:
-    """Exact rank of a list of integer rows, each a dense list or a sparse
-    {column: value} dict: the size of the echelon the rows reduce to.  The
-    rows are not changed; a dict row without zero entries is not copied
-    unless it needs reducing."""
-    width = None
-    sparse = []
-    for row in rows:
-        if isinstance(row, dict):
-            sparse.append({j: v for j, v in row.items() if v}
-                          if 0 in row.values() else row)
-            continue
-        if len(row) != width:
-            if width is not None:
-                raise ValueError("rows of the matrix differ in length")
-            width = len(row)
-        sparse.append({j: v for j, v in enumerate(row) if v})
+def rank(rows: list[SparseRow]) -> int:
+    """Exact rank of a list of {column: value} integer rows: the size of
+    the echelon the rows reduce to.  The rows are not changed; a row
+    without zero entries is not copied unless it needs reducing."""
     echelon: dict[int, SparseRow] = {}
-    _eliminate(sparse, echelon)
+    _eliminate([{j: v for j, v in row.items() if v}
+                if 0 in row.values() else row for row in rows], echelon)
     return len(echelon)
 
 
-def eigenspace_dim(matrix: list[Row], eigenvalue: int) -> int:
+def eigenspace_dim(matrix: list[SparseRow], eigenvalue: int) -> int:
     """dim ker(matrix - eigenvalue) for a square integer matrix given as
-    rows (dense lists or {column: value} dicts, as for rank)."""
-    shifted = []
-    for i, row in enumerate(matrix):
-        if isinstance(row, dict):
-            row = {**row, i: row.get(i, 0) - eigenvalue}
-        else:
-            row = row[:i] + [row[i] - eigenvalue] + row[i + 1:]
-        shifted.append(row)
-    return len(matrix) - rank(shifted)
+    {column: value} rows."""
+    return len(matrix) - rank([{**row, i: row.get(i, 0) - eigenvalue}
+                               for i, row in enumerate(matrix)])
 
 
 def solve_in_span(basis: list[Matrix], target: Matrix) -> list[Fraction]:

@@ -311,11 +311,6 @@ class RealizedPair:
                    for j, v in enumerate(row) if v}
         return _dense(self.sigma_entries(entries), self.triple.n)
 
-    def fixed_space_dim(self) -> int:
-        """dim of the +1 eigenspace of sigma on the ambient algebra."""
-        return sum(eigenspace_dim(sig, 1)
-                   for sig in _sigma_blocks(self).values())
-
 
 def _dense(x: Entries, n: int) -> Matrix:
     out = zeros(n, n)

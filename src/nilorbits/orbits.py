@@ -177,10 +177,6 @@ class WeightedDynkinDiagram:
         return (self.type.rank + 2 * counts[0],) + tuple(
             counts[i] for i in range(1, max(counts, default=0) + 1))
 
-    def dim_centralizer_of_h(self) -> int:
-        """dim of the zero layer of the grading cut out by the labels."""
-        return self.profile[0]
-
     def layer_dim(self, i: int) -> int:
         """dim of the i-layer of the grading cut out by the labels."""
         i = abs(i)
@@ -287,14 +283,6 @@ def centralizer_dims(o: ClassicalOrbit) -> tuple[int, int, int]:
         total = (sq + odd) // 2
     red = reductive_type(o).dim
     return total, red, total - red
-
-
-def is_distinguished(o: ClassicalOrbit) -> bool:
-    return reductive_type(o).dim == 0
-
-
-def is_almost_distinguished(o: ClassicalOrbit) -> bool:
-    return reductive_type(o).is_toral
 
 
 # ---------------------------------------------------------------------------

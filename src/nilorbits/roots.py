@@ -181,16 +181,10 @@ class Root:
     def __neg__(self) -> "Root":
         return Root(tuple(-c for c in self.coeffs))
 
-    def __add__(self, other: "Root") -> "Root":
-        return Root(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __str__(self):
         terms = [f"{'' if c == 1 else c}a{i + 1}"
                  for i, c in enumerate(self.coeffs) if c]
         return "+".join(terms) if terms else "0"
-
-    def to_json(self) -> list[int]:
-        return list(self.coeffs)
 
 
 class RootSystem:
@@ -235,11 +229,6 @@ class RootSystem:
 
     def roots_of_height(self, h: int) -> tuple[Root, ...]:
         return tuple(r for r in self.positive_roots if r.height == h)
-
-    def to_json(self) -> dict:
-        return {"type": self.type.to_json(),
-                "positive_roots": [r.to_json() for r in self.positive_roots],
-                "highest_root": self.highest_root.to_json()}
 
 
 @lru_cache(maxsize=None)

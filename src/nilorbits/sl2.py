@@ -51,10 +51,6 @@ class SL2Module:
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def zero() -> "SL2Module":
-        return SL2Module()
-
-    @staticmethod
     def parse(text: str) -> "SL2Module":
         """Parse the text form, e.g. 'R2+R6+2*R10' or '2R4+R0'."""
         table: dict[int, int] = {}
@@ -134,15 +130,12 @@ class SL2Module:
         return sum(m for w, m in self.mult.items()
                    if w >= i and (w - i) % 2 == 0)
 
-    def signed_count(self, sign_rule: str) -> int:
-        """Alternating sum over even highest weights 2k.
-
-        'even_plus' weighs R(2k) by (-1)^k, 'odd_flip' by (-1)^(k+1).
-        """
+    def signed_count(self) -> int:
+        """Sum of (-1)^k over the summands R(2k): the trace of i^h, which
+        acts by (-1)^j on the h-eigenspace of eigenvalue 2j."""
         if not self.weights_all_even():
             raise ValueError("signed counts require an even module")
-        flip = {"even_plus": 0, "odd_flip": 1}[sign_rule]
-        return sum((-1) ** (w // 2 + flip) * m for w, m in self.mult.items())
+        return sum((-1) ** (w // 2) * m for w, m in self.mult.items())
 
 
 def R(k: int) -> SL2Module:

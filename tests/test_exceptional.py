@@ -123,7 +123,7 @@ def test_reductive_types_render_back_to_the_published_strings():
     # the published type is read by parse_factors; its dimension must be
     # the one the diagram's layers give, d(0) - d(2)
     assert len(_ORBIT_ROWS) == len(ORBITS) == 12
-    for ts, label, _, red, _ in _ORBIT_ROWS:
+    for ts, _, label, _, red, _ in _ORBIT_ROWS:
         rec = ORBITS[(ts, label)]
         assert str(rec.red) == red, (ts, label)
         assert rec.red.dim == rec.dim_red, (ts, label)
@@ -146,6 +146,20 @@ def test_every_exceptional_pair_has_a_record():
             pd = decompose(p)
             assert pd.m0.dim + pd.m1.dim == t.dimension
             assert PUBLISHED[(ts, p.descriptor)][2] == pd.orbit.label
+
+
+def test_one_orbit_row_per_exceptional_pair():
+    # each catalog class names its g0 in exactly one row, and each row's
+    # g0 is a catalog class of its type
+    rows = {}
+    for ts, g0, label, *_ in _ORBIT_ROWS:
+        rows.setdefault((ts, g0), []).append(label)
+    classes = {(ts, p.descriptor)
+               for ts in ("E6", "E7", "E8", "F4", "G2")
+               for p in catalog(SimpleType.parse(ts))}
+    assert set(rows) == classes
+    assert all(len(labels) == 1 for labels in rows.values()), rows
+    assert len(_ORBIT_ROWS) == len(classes) == 12
 
 
 def test_table_rows():

@@ -158,11 +158,10 @@ def test_upsilon_dim_consistency():
 
 def test_divisibility_report_passes():
     pd = decompose(pair("E6", "C4"))
-    rep = divisibility_report(pd)
-    assert rep.all_pass and rep.failures() == []
+    assert divisibility_report(pd).failures() == []
     pd = decompose_classical(pair("A5", "so6"), [P("(5,1)")])
     rep = divisibility_report(pd)
-    assert rep.all_pass
+    assert rep.failures() == []
     assert rep.half_partition.parts == (3, 2, 1)
 
 

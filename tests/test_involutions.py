@@ -115,15 +115,25 @@ def test_signature_injective_on_ibn():
             seen.setdefault(sig, p.descriptor)
 
 
+def zero_diagram(t):
+    """The diagram of the zero orbit, which meets every odd part."""
+    return WeightedDynkinDiagram(t, (0,) * t.rank)
+
+
+def _inner_ibn(ts, diff):
+    t = SimpleType.parse(ts)
+    return identify_ibn(t, diff, True, zero_diagram(t))
+
+
 def test_identify_ibn():
-    assert identify_ibn(SimpleType("D", 5), 3).descriptor == "so6+so4"
-    assert identify_ibn(SimpleType("D", 6), 6).descriptor == "so6+so6"
-    assert identify_ibn(SimpleType("E", 7), -5).descriptor == "D6+A1"
+    assert _inner_ibn("D5", 3).descriptor == "so6+so4"
+    assert _inner_ibn("D6", 6).descriptor == "so6+so6"
+    assert _inner_ibn("E7", -5).descriptor == "D6+A1"
     with pytest.raises(KeyError):
-        identify_ibn(SimpleType("E", 7), 1)
+        _inner_ibn("E7", 1)
     with pytest.raises(KeyError):
-        identify_ibn(SimpleType("D", 4), -4)  # triality twins
-    assert identify_ibn(SimpleType("A", 5), 1).descriptor == "gl3+gl3"
+        _inner_ibn("D4", -4)  # triality twins
+    assert _inner_ibn("A5", 1).descriptor == "gl3+gl3"
 
 
 def test_identify_ibn_orbit_filter():
@@ -136,20 +146,20 @@ def test_identify_ibn_orbit_filter():
         identify_ibn(d4, -4, True, WeightedDynkinDiagram(d4, (2, 2, 2, 2)))
 
 
-def _identify_ibn_by_scan(t, diff, inner=None, wdd=None):
+def _identify_ibn_by_scan(t, diff, inner, wdd):
     """identify_ibn as a linear scan of the catalog, the reference for its
     signature index."""
     hits = [p for p in catalog(t)
-            if p.satake.ibn and (inner is None or p.inner == inner)
+            if p.satake.ibn and p.inner == inner
             and ibn_signature(p.satake) == diff
-            and (wdd is None or orbit_meets_g1(wdd, p.satake))]
+            and orbit_meets_g1(wdd, p.satake)]
     if len(hits) == 1:
         return hits[0]
-    meets = "" if wdd is None else f" meeting the orbit {wdd.labels}"
+    meets = f" meeting the orbit {wdd.labels}"
     if not hits:
         sigs = sorted((ibn_signature(p.satake), p.descriptor)
                       for p in catalog(t) if p.satake.ibn
-                      and (inner is None or p.inner == inner))
+                      and p.inner == inner)
         raise KeyError(f"no IBN class of {t} with signature {diff}{meets}; "
                        f"available: {sigs}")
     raise KeyError(f"signature {diff} is ambiguous for {t}{meets}: "
@@ -169,9 +179,9 @@ def test_identify_ibn_index_matches_a_catalog_scan():
         diagrams.setdefault(p.g, set()).add(decompose(p).orbit.wdd)
     compared = 0
     for t in all_simple_types(12):
-        for wdd in [None] + sorted(diagrams.get(t, ()),
-                                   key=lambda w: w.labels):
-            for inner in (None, True, False):
+        for wdd in [zero_diagram(t)] + sorted(diagrams.get(t, ()),
+                                              key=lambda w: w.labels):
+            for inner in (True, False):
                 for diff in range(-t.dimension, t.dimension + 1):
                     args = (t, diff, inner, wdd)
                     assert _outcome(identify_ibn, *args) \
@@ -182,16 +192,17 @@ def test_identify_ibn_index_matches_a_catalog_scan():
 
 def test_identify_ibn_keeps_its_messages():
     d4, e7 = SimpleType("D", 4), SimpleType("E", 7)
-    for args in ((d4, -4), (d4, -4, True), (e7, 1), (e7, 1, False)):
+    z4, z7 = zero_diagram(d4), zero_diagram(e7)
+    for args in ((d4, -4, True, z4), (e7, 1, True, z7), (e7, 1, False, z7)):
         with pytest.raises(KeyError) as got:
             identify_ibn(*args)
         with pytest.raises(KeyError) as want:
             _identify_ibn_by_scan(*args)
         assert str(got.value) == str(want.value)
-    assert "ambiguous" in _outcome(identify_ibn, d4, -4)
-    assert "['so6+so2', 'gl4']" in _outcome(identify_ibn, d4, -4, True)
+    twins = _outcome(identify_ibn, d4, -4, True, z4)
+    assert "ambiguous" in twins and "['so6+so2', 'gl4']" in twins
     assert "no IBN class of E7 with signature 1" in \
-        _outcome(identify_ibn, e7, 1)
+        _outcome(identify_ibn, e7, 1, True, z7)
 
 
 def test_so_pair_ibn_rule():

@@ -15,6 +15,7 @@ from nilorbits.oracle import (RealizedPair, SL2Triple, centralizer_dim,
                               realize_pair, triple_from_partition)
 from nilorbits.roots import SimpleType, all_simple_types
 from nilorbits.verify import suite_oracle, swept_pairs
+from test_linalg import as_dicts
 
 
 def P(text):
@@ -22,10 +23,10 @@ def P(text):
 
 
 def test_rank_basics():
-    assert rank([[1, 2], [2, 4]]) == 1
-    assert rank([[0, 0], [0, 0]]) == 0
-    assert rank([[2, 0, 1], [0, 3, 1], [2, 3, 2]]) == 2
-    assert rank([[1, 2, 3], [4, 5, 6], [7, 8, 10]]) == 3
+    assert rank(as_dicts([[1, 2], [2, 4]])) == 1
+    assert rank(as_dicts([[0, 0], [0, 0]])) == 0
+    assert rank(as_dicts([[2, 0, 1], [0, 3, 1], [2, 3, 2]])) == 2
+    assert rank(as_dicts([[1, 2, 3], [4, 5, 6], [7, 8, 10]])) == 3
 
 
 def test_standard_sl2_triple():
@@ -383,7 +384,8 @@ def test_involution_fixed_space_dims():
     for ts, g0 in [("A3", "so4"), ("A3", "gl2+gl2"), ("B3", "so4+so3"),
                    ("C3", "gl3"), ("D4", "gl4"), ("D5", "so6+so4")]:
         p = pair_by_descriptor(SimpleType.parse(ts), g0)
-        assert realize_pair(p).fixed_space_dim() == p.dim_g0, (ts, g0)
+        mg = oracle_grid(p)   # raises unless sigma fixes dim g0 dimensions
+        assert (mg.dim_g0, mg.dim_g1) == (p.dim_g0, p.dim_g1), (ts, g0)
 
 
 def test_oracle_grid_small():

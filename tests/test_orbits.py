@@ -8,7 +8,6 @@ from nilorbits.exceptional import ORBITS
 from nilorbits.orbits import (ClassicalOrbit, Partition,
                               WeightedDynkinDiagram, all_partitions,
                               centralizer_dims, half_orbit, is_divisible,
-                              is_almost_distinguished, is_distinguished,
                               is_even, reductive_type, valid_partitions,
                               wdd_from_partition)
 from nilorbits.roots import all_simple_types, build_root_system
@@ -87,11 +86,10 @@ def check_layer_dims(wdd, dim_centralizer):
     heights = [sum(c * v for c, v in zip(r.coeffs, wdd.labels))
                for r in build_root_system(t).positive_roots]
     top = max(heights)
-    assert wdd.layer_dim(0) == wdd.dim_centralizer_of_h() \
-        == t.rank + 2 * heights.count(0)
+    assert wdd.layer_dim(0) == t.rank + 2 * heights.count(0)
     for i in range(1, top + 2):
         assert wdd.layer_dim(i) == wdd.layer_dim(-i) == heights.count(i)
-    assert wdd.dim_centralizer_of_h() + 2 * sum(
+    assert wdd.layer_dim(0) + 2 * sum(
         wdd.layer_dim(i) for i in range(1, top + 1)) == t.dimension
     assert wdd.layer_dim(0) + wdd.layer_dim(1) == dim_centralizer
 
@@ -216,16 +214,17 @@ def test_reductive_type_matches_the_per_kind_rules():
                 _reference_is_toral(red.factors),
                 _reference_str(red.factors, red.traced))
         assert (red.dim, red.is_toral, str(red)) == want, str(o)
-        assert o.red == red and is_almost_distinguished(o) == red.is_toral
+        assert o.red == red
 
 
 def test_distinguished_predicates():
+    # distinguished: dim red = 0; almost distinguished: red is a torus
     o = ClassicalOrbit("so", 9, Partition.parse("(5,3,1)"))
-    assert is_distinguished(o) and is_almost_distinguished(o)
+    assert o.red.dim == 0 and o.red.is_toral
     o = ClassicalOrbit("sp", 6, Partition.parse("(3,3)"))
-    assert not is_almost_distinguished(o)
+    assert not o.red.is_toral
     o = ClassicalOrbit("sl", 6, Partition.parse("(3,2,1)"))
-    assert not is_distinguished(o) and is_almost_distinguished(o)
+    assert o.red.dim != 0 and o.red.is_toral
 
 
 def test_distinguished_implies_even():
@@ -233,7 +232,7 @@ def test_distinguished_implies_even():
                         ("so", range(3, 11))]:
         for n in sizes:
             for o in valid_partitions(kind, n):
-                if is_distinguished(o):
+                if o.red.dim == 0:
                     assert is_even(o), o
 
 

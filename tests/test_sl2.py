@@ -23,7 +23,7 @@ def test_clebsch_gordan_basics():
 def test_squares_of_irreducibles():
     assert alt2(R(2)) == R(2)
     assert sym2(R(2)) == SL2Module.parse("R4+R0")
-    assert alt2(R(0)) == SL2Module.zero()
+    assert alt2(R(0)) == SL2Module()
     assert sym2(R(0)) == R(0)
 
 
@@ -91,11 +91,12 @@ def test_eigen_dim_symmetry_and_monotonicity(m):
 
 
 def test_signed_counts():
-    assert R(0).signed_count("even_plus") == 1
-    assert SL2Module.parse("R2+R6+R10+R14").signed_count("even_plus") == -4
-    assert SL2Module.parse("R4+R8+R10+R16").signed_count("odd_flip") == -2
+    assert R(0).signed_count() == 1
+    assert SL2Module.parse("R2+R6+R10+R14").signed_count() == -4
+    # the sigma-sigma-check difference weighs g1 by -s1
+    assert -SL2Module.parse("R4+R8+R10+R16").signed_count() == -2
     with pytest.raises(ValueError):
-        SL2Module.parse("R3").signed_count("even_plus")
+        SL2Module.parse("R3").signed_count()
 
 
 def test_virtual_subtraction():
@@ -109,7 +110,7 @@ def test_parse_and_format_roundtrip():
     for text in ["R2+R6+2*R10", "R0", "3*R1+R7"]:
         m = SL2Module.parse(text)
         assert SL2Module.parse(str(m)) == m
-    assert str(SL2Module.zero()) == "0"
+    assert str(SL2Module()) == "0"
     with pytest.raises(ValueError):
         SL2Module.parse("Rx")
 
