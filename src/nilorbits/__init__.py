@@ -4,8 +4,7 @@ involutions of semisimple Lie algebras."""
 from .exceptional import exceptional_lookup
 from .gradings import (check_02, check_04, check_4k2, collapsing_defect,
                        decompose, decompose_classical, decompose_exceptional,
-                       divisibility_report, grading_grid,
-                       regular_e_partition, upsilon)
+                       divisibility_report, grading_grid, upsilon)
 from .involutions import (catalog, identify_ibn, maximal_rank,
                           orbit_meets_g1, pair_by_descriptor, pi_involution,
                           so_pair_ibn)
@@ -27,7 +26,7 @@ __all__ = [
     "catalog", "maximal_rank", "pi_involution", "identify_ibn",
     "so_pair_ibn", "orbit_meets_g1", "pair_by_descriptor",
     "decompose", "decompose_classical", "decompose_exceptional",
-    "grading_grid", "regular_e_partition", "check_02", "check_04",
+    "grading_grid", "check_02", "check_04",
     "check_4k2", "upsilon", "divisibility_report", "collapsing_defect",
     "SUITES", "run_suite",
 ]

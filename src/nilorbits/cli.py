@@ -45,8 +45,9 @@ _SMALL_AMBIENTS = {("so", 3): "is isomorphic to sp2 = sl2: use A1 or sl2",
                    ("so", 6): "is isomorphic to sl4: use A3 or sl4"}
 
 
-def parse_ambient(text: str) -> tuple[SimpleType, tuple[str, int] | None]:
-    """Accept 'E6', 'B4', 'sl6', 'so10', 'sp8'."""
+def parse_ambient(text: str) -> SimpleType:
+    """The simple type named by 'E6', 'B4', 'sl6', 'so10', 'sp8' and so
+    on."""
     text = text.strip()
     amb = _matrix_name(text)
     if amb in _SMALL_AMBIENTS:
@@ -54,14 +55,12 @@ def parse_ambient(text: str) -> tuple[SimpleType, tuple[str, int] | None]:
                          f"{text} <partition>' takes its orbits by Jordan "
                          f"type")
     if amb is None:
-        t = SimpleType.parse(text)
-        return t, t.ambient
+        return SimpleType.parse(text)
     try:
-        t = SimpleType.of_ambient(*amb)
+        return SimpleType.of_ambient(*amb)
     except ValueError:
         raise UsageError(f"{text} names no simple type: sl_n needs n >= 2, "
                          "so_n n = 5 or n >= 7, sp_n even n >= 4") from None
-    return t, t.ambient
 
 
 def parse_pair(text: str):
@@ -72,8 +71,7 @@ def parse_pair(text: str):
     diagram = g0.endswith("-diagram")
     if diagram:
         g0 = g0[: -len("-diagram")]
-    t, _ = parse_ambient(amb_text)
-    pair = pair_by_descriptor(t, g0)
+    pair = pair_by_descriptor(parse_ambient(amb_text), g0)
     if diagram and pair.inner:
         raise UsageError(f"{pair} is inner, not a diagram involution")
     return pair
@@ -87,8 +85,8 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def cmd_wdd(args) -> int:
-    t, amb = parse_ambient(args.type)
-    if amb is None:
+    t = parse_ambient(args.type)
+    if t.ambient is None:
         rec = exceptional_lookup(t, args.partition)
         text = (f"{t} orbit {rec.label}\n{rec.wdd.render()}\n"
                 f"dim g^e = {rec.dim_centralizer}, red = {rec.red}, "
@@ -97,8 +95,7 @@ def cmd_wdd(args) -> int:
                      "dim_centralizer": rec.dim_centralizer,
                      "red": str(rec.red), "dim_nil": rec.dim_nil}, text)
         return 0
-    kind, n = amb
-    orbit = ClassicalOrbit(kind, n, Partition.parse(args.partition))
+    orbit = ClassicalOrbit(*t.ambient, Partition.parse(args.partition))
     wdd = orbit.wdd
     total, red, nil = centralizer_dims(orbit)
     divisible = is_divisible(orbit)
@@ -156,7 +153,7 @@ def cmd_upsilon(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    t, _ = parse_ambient(args.type)
+    t = parse_ambient(args.type)
     pairs = catalog(t)
     rows = []
     for p in pairs:

@@ -14,12 +14,13 @@ d(i) of the diagram:
 (tests check that each pair's diagram is the only even label vector whose
 layers match the published M0+M1).
 
-Extension format: one row per symmetric pair in _ORBIT_ROWS, (type,
-catalog descriptor of g0, Bala-Carter label of the orbit through an element
-regular in g0, diagram labels, reductive type, divisible or None).  ORBITS
-is keyed by (type string, label) and PAIR_ORBITS by (type string, g0).
-The reductive type is text that `involutions.parse_factors` reads: '0',
-'t1', 'A1', 'A2+t1' and so on.  The sl2-modules M0 and M1 are not
+Extension format: one row per symmetric pair in
+`involutions.EXCEPTIONAL_ROWS`, whose last four fields are the Bala-Carter
+label of the orbit through an element regular in g0, its diagram labels,
+its reductive type and whether it is divisible (None: not recorded).
+ORBITS is keyed by (type string, label) and PAIR_ORBITS by (type string,
+g0).  The reductive type is text that `involutions.parse_factors` reads:
+'0', 't1', 'A1', 'A2+t1' and so on.  The sl2-modules M0 and M1 are not
 recorded: M0 is the principal module of g0 and M0+M1 is `wdd.module()` of
 the labelled orbit.
 """
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .involutions import Reductive, parse_factors
+from .involutions import EXCEPTIONAL_ROWS, Reductive, parse_factors
 from .orbits import WeightedDynkinDiagram
 from .roots import SimpleType
 
@@ -61,30 +62,15 @@ def _orbit(type_str, label, labels, red, divisible):
                             Reductive(parse_factors(red)), divisible)
 
 
-_ORBIT_ROWS = [
-    # type, g0, label, diagram labels, red type, divisible
-    ("E6", "F4",      "E6",     (2, 2, 2, 2, 2, 2), "0", None),
-    ("E6", "C4",      "E6(a1)", (2, 2, 2, 0, 2, 2), "0", True),
-    ("E6", "A5+A1",   "E6(a3)", (2, 0, 0, 2, 0, 2), "0", None),
-    ("E6", "D5+t1",   "D5",     (2, 2, 0, 2, 0, 2), "t1", None),
-    ("E7", "A7",      "E6(a1)", (2, 0, 0, 2, 0, 2, 0), "t1", True),
-    ("E7", "D6+A1",   "E7(a3)", (2, 0, 0, 2, 0, 2, 2), "0", None),
-    ("E7", "E6+t1",   "E6",     (2, 0, 2, 2, 0, 2, 0), "A1", None),
-    ("E8", "D8",      "E8(a4)", (2, 0, 0, 2, 0, 2, 0, 2), "0", True),
-    ("E8", "E7+A1",   "E8(b4)", (2, 0, 0, 2, 0, 2, 2, 2), "0", None),
-    ("F4", "C3+A1",   "F4(a2)", (2, 0, 2, 0), "0", None),
-    ("F4", "B4",      "F4(a1)", (2, 0, 2, 2), "0", None),
-    ("G2", "A1+A1~",  "G2(a1)", (0, 2), "0", None),
-]
-
 ORBITS: dict[tuple[str, str], ExceptionalOrbit] = {
     (ts, label): _orbit(ts, label, *rest)
-    for ts, _, label, *rest in _ORBIT_ROWS}
+    for ts, _, _, _, _, label, *rest in EXCEPTIONAL_ROWS}
 
 # (ambient, fixed-algebra descriptor) -> label of the orbit through an
 # element regular in g0, from which `gradings.decompose_exceptional`
 # derives (M0, M1)
-PAIR_ORBITS = {(ts, g0): label for ts, g0, label, *_ in _ORBIT_ROWS}
+PAIR_ORBITS = {(ts, g0): label for ts, g0, _, _, _, label, *_
+               in EXCEPTIONAL_ROWS}
 
 
 def exceptional_lookup(t: SimpleType, label: str) -> ExceptionalOrbit:

@@ -64,24 +64,6 @@ def factor_jordan_types(pair: SymmetricPair,
     return list(given)
 
 
-def ambient_jordan_type(pair: SymmetricPair,
-                        fparts: list[Partition]) -> Partition:
-    """Jordan type of e in the matrix ambient: the factor parts, twice over
-    for gl_r acting on W + W* in so_2r/sp_2r."""
-    parts = [p for lam in fparts for p in lam.parts]
-    if pair.shape == "hermitian":
-        parts *= 2
-    return Partition(tuple(sorted(parts, reverse=True)))
-
-
-def regular_e_partition(pair: SymmetricPair) -> Partition:
-    """Ambient Jordan type of an element regular in each factor of g0."""
-    if pair.g.ambient is None:
-        raise ValueError(f"{pair} is exceptional; orbits come from the "
-                         "static records")
-    return ambient_jordan_type(pair, factor_jordan_types(pair))
-
-
 # ---------------------------------------------------------------------------
 # Decompositions
 # ---------------------------------------------------------------------------
@@ -109,11 +91,6 @@ class PairDecomposition:
                 f"decomposition dims {self.m0.dim}+{self.m1.dim} of "
                 f"{self.pair} at e = {self.orbit.label} do not match "
                 f"{self.pair.dim_g0}+{self.pair.dim_g1}")
-        if self.m1 and not (self.m1.weights_all_even()
-                            or self.m1.weights_all_odd()):
-            raise ValueError(f"odd-part weights of {self.pair} at e = "
-                             f"{self.orbit.label} must be all even or all "
-                             "odd")
 
     @cached_property
     def e_is_even(self) -> bool:
@@ -169,7 +146,12 @@ def decompose_classical(pair: SymmetricPair,
     else:
         m0 = sym2(v[0]) + sym2(v[1])
         m1 = tensor(v[0], v[1])
-    orbit = ClassicalOrbit(kind, n, ambient_jordan_type(pair, fparts))
+    # e in the matrix ambient: the factor parts, twice over for gl_r acting
+    # on W + W* in so_2r/sp_2r
+    parts = [p for lam in fparts for p in lam.parts]
+    if pair.shape == "hermitian":
+        parts *= 2
+    orbit = ClassicalOrbit(kind, n, Partition.of(*parts))
     return PairDecomposition(pair, m0, m1, orbit)
 
 
@@ -190,10 +172,16 @@ def decompose_exceptional(pair: SymmetricPair) -> PairDecomposition:
 @lru_cache(maxsize=None)
 def decompose(pair: SymmetricPair) -> PairDecomposition:
     """Decomposition at an element regular in g0, once per pair and
-    process."""
+    process.  The weights of M1 at a regular element all have one parity."""
     if pair.g.ambient is None:
-        return decompose_exceptional(pair)
-    return decompose_classical(pair)
+        pd = decompose_exceptional(pair)
+    else:
+        pd = decompose_classical(pair)
+    if pd.m1 and not (pd.m1.weights_all_even() or pd.m1.weights_all_odd()):
+        raise ValueError(f"odd-part weights of {pair} at the regular "
+                         f"element e = {pd.orbit.label} of g0 must be all "
+                         "even or all odd")
+    return pd
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +223,6 @@ class MixedGrading:
     @property
     def dim_g0(self) -> int:
         return self.row0[0] + 2 * sum(self.row0[1:])
-
-    @property
-    def dim_g1(self) -> int:
-        return self.row1[0] + 2 * sum(self.row1[1:])
 
     # centraliser dimensions of e read off the grid
     @property
@@ -384,7 +368,6 @@ def _identify_derived(pd: PairDecomposition) -> UpsilonResult:
 class DivisibilityReport:
     """Consequences of d_0(0) = d_1(4), one flag per claim."""
 
-    pair: SymmetricPair
     grid_equalities: bool       # d0(0)=d0(2)=d1(2)=d1(4) and all 4k+2 ties
     no_r2_in_odd_part: bool
     g0_semisimple: bool
@@ -423,7 +406,7 @@ def divisibility_report(pd: PairDecomposition,
         half_ad = mg.total(0) - mg.total(4) <= 2
         half_part = None
     return DivisibilityReport(
-        pair=pd.pair, grid_equalities=grid_eq, no_r2_in_odd_part=no_r2,
+        grid_equalities=grid_eq, no_r2_in_odd_part=no_r2,
         g0_semisimple=pd.pair.g0.center_dim == 0, orbit_divisible=divisible,
         e_almost_distinguished=orbit.red.is_toral,
         half_almost_distinguished=half_ad,

@@ -6,7 +6,8 @@ plus arrows joining white nodes).  Classical families are generated by
 closed-form rules; the exceptional classes and their Satake diagrams are
 static records following the standard tables (Onishchik--Vinberg Table 4,
 Helgason Table VI), transcribed into the node numbering of
-`nilorbits.roots`.
+`nilorbits.roots`.  Each row of EXCEPTIONAL_ROWS also records the orbit of
+an element regular in g0, which `nilorbits.exceptional` reads.
 
 For a diagram with only isolated black nodes (IBN) the difference
 dim g1 - dim g0 equals rank - 2*#arrows - 4*#black, and within one simple
@@ -130,8 +131,7 @@ class SatakeDiagram:
 
     @cached_property
     def ibn(self) -> bool:
-        adj = self.type.adjacency()
-        return all(not (adj[i] & self.black) for i in self.black)
+        return self.type.isolated(self.black)
 
     def render(self) -> str:
         marks = "".join("●" if i in self.black else "○"
@@ -215,31 +215,35 @@ def _pair(g, factors, inner, black=(), arrows=(), traced=False):
     return SymmetricPair(g, Reductive(tuple(factors), traced), inner, sat)
 
 
-_EXCEPTIONAL_PAIRS = {
-    # type: (g0 factors, inner, black nodes, arrows) in 0-based numbering
-    "E6": [
-        ([("C", 4)],           False, (), ()),
-        ([("A", 5), ("A", 1)], True,  (), ((0, 5), (2, 4))),
-        ([("D", 5), ("t", 1)], True,  (2, 3, 4), ((0, 5),)),
-        ([("F", 4)],           False, (1, 2, 3, 4), ()),
-    ],
-    "E7": [
-        ([("A", 7)],           True, (), ()),
-        ([("D", 6), ("A", 1)], True, (1, 4, 6), ()),
-        ([("E", 6), ("t", 1)], True, (1, 2, 3, 4), ()),
-    ],
-    "E8": [
-        ([("D", 8)],           True, (), ()),
-        ([("E", 7), ("A", 1)], True, (1, 2, 3, 4), ()),
-    ],
-    "F4": [
-        ([("C", 3), ("A", 1)], True, (), ()),
-        ([("B", 4)],           True, (1, 2, 3), ()),
-    ],
-    "G2": [
-        ([("A", 1), ("A~", 1)], True, (), ()),
-    ],
-}
+EXCEPTIONAL_ROWS = [
+    # type, g0, inner, black nodes, arrows (0-based numbering); then the
+    # orbit through an element regular in g0: Bala-Carter label, diagram
+    # labels, reductive type, divisible (None: not recorded)
+    ("E6", "C4",     False, (), (),
+     "E6(a1)", (2, 2, 2, 0, 2, 2), "0", True),
+    ("E6", "A5+A1",  True, (), ((0, 5), (2, 4)),
+     "E6(a3)", (2, 0, 0, 2, 0, 2), "0", None),
+    ("E6", "D5+t1",  True, (2, 3, 4), ((0, 5),),
+     "D5", (2, 2, 0, 2, 0, 2), "t1", None),
+    ("E6", "F4",     False, (1, 2, 3, 4), (),
+     "E6", (2, 2, 2, 2, 2, 2), "0", None),
+    ("E7", "A7",     True, (), (),
+     "E6(a1)", (2, 0, 0, 2, 0, 2, 0), "t1", True),
+    ("E7", "D6+A1",  True, (1, 4, 6), (),
+     "E7(a3)", (2, 0, 0, 2, 0, 2, 2), "0", None),
+    ("E7", "E6+t1",  True, (1, 2, 3, 4), (),
+     "E6", (2, 0, 2, 2, 0, 2, 0), "A1", None),
+    ("E8", "D8",     True, (), (),
+     "E8(a4)", (2, 0, 0, 2, 0, 2, 0, 2), "0", True),
+    ("E8", "E7+A1",  True, (1, 2, 3, 4), (),
+     "E8(b4)", (2, 0, 0, 2, 0, 2, 2, 2), "0", None),
+    ("F4", "C3+A1",  True, (), (),
+     "F4(a2)", (2, 0, 2, 0), "0", None),
+    ("F4", "B4",     True, (1, 2, 3), (),
+     "F4(a1)", (2, 0, 2, 2), "0", None),
+    ("G2", "A1+A1~", True, (), (),
+     "G2(a1)", (0, 2), "0", None),
+]
 
 
 @lru_cache(maxsize=None)
@@ -299,8 +303,9 @@ def catalog(t: SimpleType) -> tuple[SymmetricPair, ...]:
             arrows = ((r - 2, r - 1),)
         pairs.append(_pair(t, [("gl", r)], True, black, arrows))
     else:
-        for factors, inner, black, arrows in _EXCEPTIONAL_PAIRS[str(t)]:
-            pairs.append(_pair(t, factors, inner, black, arrows))
+        pairs += [_pair(t, parse_factors(g0), inner, black, arrows)
+                  for ts, g0, inner, black, arrows, *_ in EXCEPTIONAL_ROWS
+                  if ts == str(t)]
     return tuple(pairs)
 
 

@@ -293,13 +293,13 @@ class RealizedPair:
     pair: SymmetricPair
     triple: SL2Triple
     sign_vector: list[int] | None   # sigma = conjugation by diag(signs)
-    twist: bool                     # sigma(X) = -B^{-1} X^T B (outer sl)
 
     def sigma_entries(self, x: Entries) -> Entries:
         """sigma on a matrix given by its nonzero entries.  Conjugation by
-        diag(s) scales E_ij by s_i s_j; with B = sum_i b_i E_{i,p(i)} the
-        twist sends E_ij to -b_i b_j E_{p(j),p(i)}."""
-        if self.twist:
+        diag(s) scales E_ij by s_i s_j.  Without signs sigma is the twist
+        X -> -B^{-1} X^T B of outer sl: with B = sum_i b_i E_{i,p(i)} it
+        sends E_ij to -b_i b_j E_{p(j),p(i)}."""
+        if self.sign_vector is None:
             perm = self.triple.form_perm
             return {(perm[j][0], perm[i][0]): -perm[i][1] * perm[j][1] * v
                     for (i, j), v in x.items()}
@@ -338,12 +338,12 @@ def realize_pair(pair: SymmetricPair,
             form[m + i][i] = eps
         triple = SL2Triple(kind, n, e, h, f, form)
         signs = [1] * m + [-1] * m
-        return RealizedPair(pair, triple, signs, twist=False)
+        return RealizedPair(pair, triple, signs)
     if pair.shape == "twisted":
         fkind = pair.g0.factors[0][0]
         triple = triple_from_partition(fkind, n, fparts[0])
         triple = SL2Triple("sl", n, triple.e, triple.h, triple.f, triple.form)
-        return RealizedPair(pair, triple, None, twist=True)
+        return RealizedPair(pair, triple, None)
     # block-diagonal factor sum: (sl, gl+gl), (so, so+so), (sp, sp+sp)
     e = zeros(n, n)
     h = zeros(n, n)
@@ -361,7 +361,7 @@ def realize_pair(pair: SymmetricPair,
     k = pair.g0.factors[0][1]
     signs = [1] * k + [-1] * (n - k)
     triple = SL2Triple(kind, n, e, h, f, form)
-    return RealizedPair(pair, triple, signs, twist=False)
+    return RealizedPair(pair, triple, signs)
 
 
 def _sigma_basis(rp: RealizedPair) -> dict[int, list[Entries]]:
@@ -458,12 +458,11 @@ def oracle_grid(pair: SymmetricPair,
         d[(0, w)] = plus
         d[(1, w)] = minus
     hi = max((w for (_, w) in d), default=0)
-    row0 = tuple(d.get((0, i), 0) for i in range(hi + 1))
-    row1 = tuple(d.get((1, i), 0) for i in range(hi + 1))
+    mg = MixedGrading(tuple(d.get((0, i), 0) for i in range(hi + 1)),
+                      tuple(d.get((1, i), 0) for i in range(hi + 1)))
     # sanity: the fixed subalgebra has the catalogued dimension
-    fixed = row0[0] + 2 * sum(row0[1:])
-    if fixed != pair.dim_g0:
-        raise RuntimeError(f"{pair.descriptor}: sigma fixes {fixed} "
+    if mg.dim_g0 != pair.dim_g0:
+        raise RuntimeError(f"{pair.descriptor}: sigma fixes {mg.dim_g0} "
                            f"dimensions, dim g0 is {pair.dim_g0}")
-    return MixedGrading(row0, row1)
+    return mg
 

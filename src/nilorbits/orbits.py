@@ -163,9 +163,7 @@ class WeightedDynkinDiagram:
         return frozenset(i for i, v in enumerate(self.labels) if v == 0)
 
     def has_only_isolated_zeros(self) -> bool:
-        adj = self.type.adjacency()
-        z = self.zeros
-        return all(not (adj[i] & z) for i in z)
+        return self.type.isolated(self.zeros)
 
     @cached_property
     def profile(self) -> tuple[int, ...]:

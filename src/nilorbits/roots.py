@@ -158,6 +158,11 @@ class SimpleType:
         return tuple(frozenset(j for j in range(n) if j != i and a[i][j] != 0)
                      for i in range(n))
 
+    def isolated(self, nodes: frozenset[int]) -> bool:
+        """Whether no two of the nodes are joined in the Dynkin diagram."""
+        adj = self.adjacency()
+        return all(not (adj[i] & nodes) for i in nodes)
+
     def to_json(self) -> dict:
         return {"family": self.family, "rank": self.rank}
 

@@ -15,11 +15,10 @@ from . import exceptional as exc
 from .gradings import (check_02, check_04, check_4k2,
                        collapsing_defect, d00_closed_form, decompose,
                        decompose_classical, dim_fixed_cross,
-                       grading_grid, regular_e_partition,
-                       divisibility_report, upsilon)
+                       grading_grid, divisibility_report, upsilon)
 from .involutions import (catalog, maximal_rank, orbit_meets_g1,
                           pair_by_descriptor, pi_involution)
-from .orbits import (ClassicalOrbit, Partition, all_partitions,
+from .orbits import (Partition, all_partitions,
                      centralizer_dims, half_orbit, is_divisible,
                      valid_partitions)
 from .oracle import (centralizer_dim, ker_ad_squared, oracle_grid,
@@ -79,16 +78,18 @@ class VerificationReport:
                            "pass": c.passed} for c in self.cases]}
 
 
-def swept_pairs(max_rank: int = 8, include_exceptional: bool = True):
-    """Catalog pairs for the standard sweeps.  A1 is excluded: its only
+def swept_types(max_rank: int = 8) -> list[SimpleType]:
+    """Simple types for the standard sweeps.  A1 is excluded: its only
     involution has toral fixed algebra, so the regular element of g0 is 0
     and every statement about nonzero nilpotent elements is vacuous."""
-    for t in all_simple_types(max_rank):
-        if t == SimpleType("A", 1):
-            continue
-        if not include_exceptional and t.family not in "ABCD":
-            continue
-        yield from catalog(t)
+    return [t for t in all_simple_types(max_rank) if t != SimpleType("A", 1)]
+
+
+def swept_pairs(max_rank: int = 8, include_exceptional: bool = True):
+    """Catalog pairs of the swept types."""
+    for t in swept_types(max_rank):
+        if include_exceptional or t.family in "ABCD":
+            yield from catalog(t)
 
 
 # ---------------------------------------------------------------------------
@@ -182,16 +183,15 @@ def suite_tables(max_rank: int = 8) -> VerificationReport:
         rep.add(f"{ts} PI grid", "grid/record centraliser dims agree",
                 (dim, rec.dim_red, nil),
                 (mg.dim_centralizer, mg.dim_red, mg.dim_nil))
-    for t in all_simple_types(max_rank):
-        if t.family not in "ABCD" or t == SimpleType("A", 1):
+    for t in swept_types(max_rank):
+        if t.family not in "ABCD":
             continue
         if t.family == "B" and t.rank == 2:
             continue  # B2 = C2: the gl row applies, not the so row
         lam, labels, dim, red, nil = _classical_pi_row(t)
-        pi = pi_involution(t)
-        part = regular_e_partition(pi)
-        rep.add(f"{t} PI partition", "regular Jordan type", lam, part.parts)
-        orbit = ClassicalOrbit(*t.ambient, part)
+        orbit = decompose(pi_involution(t)).orbit
+        rep.add(f"{t} PI partition", "regular Jordan type", lam,
+                orbit.partition.parts)
         total, red_dim, nil_dim = centralizer_dims(orbit)
         rep.add(f"{t} PI dims", "(dim, red, nil)", (dim, red, nil),
                 (total, str(orbit.red), nil_dim))
@@ -204,28 +204,25 @@ def suite_tables(max_rank: int = 8) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 _E_GRIDS = {
-    ("E6", "C4"): ((4, 4, 3, 3, 2, 2, 1, 1, 0),
+    # (M0, M1), then the even layers of rows d0 and d1
+    ("E6", "C4"): ("R2+R6+R10+R14", "R4+R8+R10+R16",
+                   (4, 4, 3, 3, 2, 2, 1, 1, 0),
                    (4, 4, 4, 3, 3, 2, 1, 1, 1)),
-    ("E7", "A7"): ((7, 7, 6, 5, 4, 3, 2, 1, 0),
+    ("E7", "A7"): ("R2+R4+R6+R8+R10+R12+R14", "R0+2*R4+2*R8+R10+R12+R16",
+                   (7, 7, 6, 5, 4, 3, 2, 1, 0),
                    (8, 7, 7, 5, 5, 3, 2, 1, 1)),
-    ("E8", "D8"): ((8, 8, 7, 7, 6, 6, 5, 5, 3, 3, 2, 2, 1, 1, 0),
-                   (8, 8, 8, 7, 7, 6, 5, 5, 4, 3, 2, 2, 1, 1, 1)),
-}
-
-_E_MODULES = {
-    ("E6", "C4"): ("R2+R6+R10+R14", "R4+R8+R10+R16"),
-    ("E7", "A7"): ("R2+R4+R6+R8+R10+R12+R14", "R0+2*R4+2*R8+R10+R12+R16"),
     ("E8", "D8"): ("R2+R6+R10+2*R14+R18+R22+R26",
-                   "R4+R8+R10+R14+R16+R18+R22+R28"),
+                   "R4+R8+R10+R14+R16+R18+R22+R28",
+                   (8, 8, 7, 7, 6, 6, 5, 5, 3, 3, 2, 2, 1, 1, 0),
+                   (8, 8, 8, 7, 7, 6, 5, 5, 4, 3, 2, 2, 1, 1, 1)),
 }
 
 
 def suite_grids() -> VerificationReport:
     rep = VerificationReport("grids")
-    for (ts, g0), (row0, row1) in _E_GRIDS.items():
+    for (ts, g0), (m0s, m1s, row0, row1) in _E_GRIDS.items():
         pair = pair_by_descriptor(SimpleType.parse(ts), g0)
         pd = decompose(pair)
-        m0s, m1s = _E_MODULES[(ts, g0)]
         rep.add(f"{ts}/{g0} modules", "(M0, M1)",
                 (SL2Module.parse(m0s), SL2Module.parse(m1s)), (pd.m0, pd.m1))
         mg = grading_grid(pd)
@@ -236,8 +233,6 @@ def suite_grids() -> VerificationReport:
         rep.add(f"{ts}/{g0} boxed", "d0(0) = d1(4)", True, check_04(mg))
     # the two-part family in the split pair of sl_2n
     for m, k in [(2, 0), (3, 0), (3, 1), (4, 1), (4, 2), (5, 2), (6, 1)]:
-        if m - k <= 1:
-            continue
         n = m + k + 1
         pair = pair_by_descriptor(SimpleType("A", 2 * n - 1), f"so{2 * n}")
         lam = Partition.of(2 * m + 1, 2 * k + 1)
@@ -275,7 +270,7 @@ def suite_divisible(max_rank: int = 8) -> VerificationReport:
                 if r <= max_rank}
     for n in range(3, max_rank + 2):
         pair = pair_by_descriptor(SimpleType("A", n - 1), f"so{n}")
-        if _sl_family_member(regular_e_partition(pair).parts):
+        if _sl_family_member(decompose(pair).orbit.partition.parts):
             expected.add((str(pair.g), pair.descriptor))
     rep.add("regular sweep", "pairs with d0(0)=d1(4)",
             tuple(sorted(expected)), tuple(sorted(hits)))
@@ -311,15 +306,13 @@ def suite_divisible(max_rank: int = 8) -> VerificationReport:
 
 def suite_balanced(max_rank: int = 8) -> VerificationReport:
     rep = VerificationReport("balanced")
-    hits = set()
+    hits = {}  # (type, g0) -> grid
     for pair in swept_pairs(max_rank):
-        pd = decompose(pair)
-        if check_02(grading_grid(pd)):
-            hits.add((str(pair.g), pair.descriptor))
+        mg = grading_grid(decompose(pair))
+        if check_02(mg):
+            hits[(str(pair.g), pair.descriptor)] = mg
     expected = set()
-    for t in all_simple_types(max_rank):
-        if t == SimpleType("A", 1):
-            continue
+    for t in swept_types(max_rank):
         if t.family == "C" and t.rank % 2 == 1:
             continue  # the split pair of sp_{4n+2} fails
         mr = maximal_rank(t)
@@ -333,9 +326,7 @@ def suite_balanced(max_rank: int = 8) -> VerificationReport:
     rep.add("regular sweep", "pairs with d0(0)=d1(2)",
             tuple(sorted(expected)), tuple(sorted(hits)))
     # consequences: |m0 - m1| <= 2 and d0(0) <= d1(0)
-    for key in sorted(hits):
-        pair = pair_by_descriptor(SimpleType.parse(key[0]), key[1])
-        mg = grading_grid(decompose(pair))
+    for key, mg in sorted(hits.items()):
         rep.add(f"{key[0]}/{key[1]} m-gap", "|m0-m1| <= 2", True,
                 abs(mg.m0 - mg.m1) <= 2)
         rep.add(f"{key[0]}/{key[1]} d-order", "d0(0) <= d1(0)", True,
@@ -485,9 +476,7 @@ def suite_upsilon(max_rank: int = 8) -> VerificationReport:
                 (u.sigma_check.descriptor, u.sigma_sigma_check.descriptor))
     # the map on principal inner involutions
     exceptions = _pi_upsilon_exceptions(max_rank)
-    for t in all_simple_types(max_rank):
-        if t == SimpleType("A", 1):
-            continue
+    for t in swept_types(max_rank):
         pair = pi_involution(t)
         pd = decompose(pair)
         if not pd.e_is_even:
@@ -566,9 +555,7 @@ def suite_meets(max_rank: int = 8) -> VerificationReport:
 
 def suite_collapsing(max_rank: int = 8) -> VerificationReport:
     rep = VerificationReport("collapsing")
-    for t in all_simple_types(max_rank):
-        if t == SimpleType("A", 1):
-            continue
+    for t in swept_types(max_rank):
         if t.family == "B" and t.rank == 2:
             continue  # B2 = C2 duplicates the C2 row
         d, finite = collapsing_defect(t)

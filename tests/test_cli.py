@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nilorbits import oracle
+from nilorbits import gradings, oracle
 from nilorbits.cli import main, parse_ambient, parse_pair
 from nilorbits.oracle import oracle_sizes
 from nilorbits.orbits import centralizer_dims, valid_partitions
@@ -19,16 +19,15 @@ def run(capsys, *argv):
 
 
 def test_parse_ambient():
-    t, amb = parse_ambient("sl6")
-    assert str(t) == "A5" and amb == ("sl", 6)
-    t, amb = parse_ambient("so10")
-    assert str(t) == "D5" and amb == ("so", 10)
-    t, amb = parse_ambient("so9")
-    assert str(t) == "B4" and amb == ("so", 9)
-    t, amb = parse_ambient("E6")
-    assert str(t) == "E6" and amb is None
-    t, amb = parse_ambient("C4")
-    assert amb == ("sp", 8)
+    t = parse_ambient("sl6")
+    assert str(t) == "A5" and t.ambient == ("sl", 6)
+    t = parse_ambient("so10")
+    assert str(t) == "D5" and t.ambient == ("so", 10)
+    t = parse_ambient("so9")
+    assert str(t) == "B4" and t.ambient == ("so", 9)
+    t = parse_ambient("E6")
+    assert str(t) == "E6" and t.ambient is None
+    assert parse_ambient("C4").ambient == ("sp", 8)
 
 
 def test_parse_pair_grammar():
@@ -243,10 +242,25 @@ def test_bad_descriptor_parts_are_named_in_the_error(capsys, argv, typed):
     assert typed in err and "int()" not in err, err
 
 
-def test_decomposition_error_names_the_pair_and_the_orbit(capsys):
+def test_decomposition_error_names_the_pair_and_the_orbit(capsys,
+                                                          monkeypatch):
+    # a non-regular e of g0 may mix the weight parities of M1: its grid is
+    # the one the matrix oracle gives
     code, out, err = run(capsys, "grade", "so10/gl5", "(3,2)")
+    assert (code, err) == (0, "")
+    assert "e: (3,3,2,2)" in out
+    assert "d0(i) 5 4 3 2 1\nd1(i) 4 4 2 2 0\n" in out, out
+    # the regular element may not: a wrong regular Jordan type is refused
+    # with a message that names the pair and the orbit
+    monkeypatch.setattr(gradings, "factor_regular_parts", lambda f: (3, 2))
+    gradings.decompose.cache_clear()
+    try:
+        code, out, err = run(capsys, "grade", "so10/gl5")
+    finally:
+        gradings.decompose.cache_clear()
     assert (code, out) == (2, "")
     assert "(D5, gl5)" in err and "(3,3,2,2)" in err, err
+    assert "regular" in err, err
 
 
 def test_pair_over_small_matrix_name_is_a_usage_error(capsys):

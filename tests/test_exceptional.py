@@ -9,9 +9,10 @@ from itertools import product
 
 import pytest
 
-from nilorbits.exceptional import _ORBIT_ROWS, ORBITS, exceptional_lookup
+from nilorbits.exceptional import ORBITS, PAIR_ORBITS, exceptional_lookup
 from nilorbits.gradings import decompose
-from nilorbits.involutions import catalog, pair_by_descriptor
+from nilorbits.involutions import (EXCEPTIONAL_ROWS, catalog,
+                                   pair_by_descriptor)
 from nilorbits.orbits import WeightedDynkinDiagram
 from nilorbits.roots import SimpleType, build_root_system
 from nilorbits.sl2 import SL2Module
@@ -122,8 +123,8 @@ def test_tampered_record_fails_the_tables_suite(monkeypatch):
 def test_reductive_types_render_back_to_the_published_strings():
     # the published type is read by parse_factors; its dimension must be
     # the one the diagram's layers give, d(0) - d(2)
-    assert len(_ORBIT_ROWS) == len(ORBITS) == 12
-    for ts, _, label, _, red, _ in _ORBIT_ROWS:
+    assert len(EXCEPTIONAL_ROWS) == len(ORBITS) == 12
+    for ts, _, _, _, _, label, _, red, _ in EXCEPTIONAL_ROWS:
         rec = ORBITS[(ts, label)]
         assert str(rec.red) == red, (ts, label)
         assert rec.red.dim == rec.dim_red, (ts, label)
@@ -152,14 +153,41 @@ def test_one_orbit_row_per_exceptional_pair():
     # each catalog class names its g0 in exactly one row, and each row's
     # g0 is a catalog class of its type
     rows = {}
-    for ts, g0, label, *_ in _ORBIT_ROWS:
+    for ts, g0, _, _, _, label, *_ in EXCEPTIONAL_ROWS:
         rows.setdefault((ts, g0), []).append(label)
     classes = {(ts, p.descriptor)
                for ts in ("E6", "E7", "E8", "F4", "G2")
                for p in catalog(SimpleType.parse(ts))}
-    assert set(rows) == classes
+    assert set(rows) == classes == set(PAIR_ORBITS)
     assert all(len(labels) == 1 for labels in rows.values()), rows
-    assert len(_ORBIT_ROWS) == len(classes) == 12
+    assert len(EXCEPTIONAL_ROWS) == len(classes) == 12
+
+
+# the twelve exceptional classes in catalog order, as the two tables that
+# EXCEPTIONAL_ROWS merges recorded them: (type, g0, inner, black nodes,
+# arrows, label of the orbit through an element regular in g0)
+PINNED_CLASSES = [
+    ("E6", "C4", False, (), (), "E6(a1)"),
+    ("E6", "A5+A1", True, (), ((0, 5), (2, 4)), "E6(a3)"),
+    ("E6", "D5+t1", True, (2, 3, 4), ((0, 5),), "D5"),
+    ("E6", "F4", False, (1, 2, 3, 4), (), "E6"),
+    ("E7", "A7", True, (), (), "E6(a1)"),
+    ("E7", "D6+A1", True, (1, 4, 6), (), "E7(a3)"),
+    ("E7", "E6+t1", True, (1, 2, 3, 4), (), "E6"),
+    ("E8", "D8", True, (), (), "E8(a4)"),
+    ("E8", "E7+A1", True, (1, 2, 3, 4), (), "E8(b4)"),
+    ("F4", "C3+A1", True, (), (), "F4(a2)"),
+    ("F4", "B4", True, (1, 2, 3), (), "F4(a1)"),
+    ("G2", "A1+A1~", True, (), (), "G2(a1)"),
+]
+
+
+def test_exceptional_classes_are_pinned():
+    got = [(ts, p.descriptor, p.inner, tuple(sorted(p.satake.black)),
+            tuple(sorted(p.satake.arrows)), decompose(p).orbit.label)
+           for ts in ("E6", "E7", "E8", "F4", "G2")
+           for p in catalog(SimpleType.parse(ts))]
+    assert got == PINNED_CLASSES
 
 
 def test_table_rows():

@@ -1,5 +1,6 @@
 import copy
 import random
+from itertools import product
 
 import pytest
 
@@ -8,8 +9,9 @@ from nilorbits.gradings import decompose, decompose_classical, grading_grid
 from nilorbits.involutions import catalog, pair_by_descriptor
 from nilorbits.linalg import (commutator, mat_mul, mat_scale, mat_sub, rank,
                               transpose, zeros)
-from nilorbits.orbits import (ClassicalOrbit, Partition, centralizer_dims,
-                              half_orbit, is_divisible, valid_partitions)
+from nilorbits.orbits import (ClassicalOrbit, Partition, all_partitions,
+                              centralizer_dims, half_orbit, is_divisible,
+                              valid_partitions)
 from nilorbits.oracle import (RealizedPair, SL2Triple, centralizer_dim,
                               ker_ad_squared, oracle_grid, oracle_sizes,
                               realize_pair, triple_from_partition)
@@ -385,7 +387,8 @@ def test_involution_fixed_space_dims():
                    ("C3", "gl3"), ("D4", "gl4"), ("D5", "so6+so4")]:
         p = pair_by_descriptor(SimpleType.parse(ts), g0)
         mg = oracle_grid(p)   # raises unless sigma fixes dim g0 dimensions
-        assert (mg.dim_g0, mg.dim_g1) == (p.dim_g0, p.dim_g1), (ts, g0)
+        dim_g1 = mg.row1[0] + 2 * sum(mg.row1[1:])
+        assert (mg.dim_g0, dim_g1) == (p.dim_g0, p.dim_g1), (ts, g0)
 
 
 def test_oracle_grid_small():
@@ -404,6 +407,31 @@ def test_oracle_grid_matches_modules():
                 continue
             assert oracle_grid(p) == grading_grid(decompose(p)), \
                 (str(t), p.descriptor)
+
+
+def factor_jordan_types(f):
+    """Every Jordan type of a nilpotent element of the factor f of g0 in
+    its defining representation."""
+    kind, n = f
+    if kind in ("so", "sp"):
+        return [o.partition for o in valid_partitions(kind, n)]
+    return all_partitions(n)
+
+
+def test_oracle_grid_matches_modules_for_every_nilpotent_of_g0():
+    # every classical pair with matrix size n <= 9 and every tuple of
+    # factor Jordan types, not only the regular one: e = 0 included, and
+    # M1 may mix weight parities
+    cases = 0
+    for t in all_simple_types(8):
+        if t.ambient is None or t.ambient[1] > 9:
+            continue
+        for p in catalog(t):
+            for lams in product(*map(factor_jordan_types, p.g0.factors)):
+                cases += 1
+                assert oracle_grid(p, list(lams)) == grading_grid(
+                    decompose_classical(p, list(lams))), (p, lams)
+    assert cases == 507
 
 
 def test_tampered_sigma_raises(monkeypatch):

@@ -2,8 +2,10 @@
 
 import ast
 import pathlib
+import re
 
-_PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "nilorbits"
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
+_PACKAGE = _ROOT / "src" / "nilorbits"
 
 
 def test_no_assert_statements_in_the_package():
@@ -35,4 +37,48 @@ def test_no_unused_imports_in_the_package():
                           f"{name}" for a in node.names
                           if (name := a.asname or a.name.split(".")[0])
                           not in used]
+    assert found == []
+
+
+def _definitions(tree: ast.Module):
+    """(line, name) of the top-level functions and classes of a module and
+    of the methods of its classes, dunder methods left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        if isinstance(node, ast.ClassDef):
+            yield from ((item.lineno, item.name) for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not re.fullmatch(r"__\w+__", item.name))
+
+
+def _references(tree: ast.Module):
+    """Every name a module reads: names, attributes, imported names and
+    their aliases, and the words of its strings (such as the span table of
+    the benchmark, which names functions as 'module.function')."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+            yield node.asname
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from re.findall(r"\w+", node.value)
+
+
+def test_every_definition_in_the_package_is_referenced():
+    # a function, class or method that nothing in the package, the tests,
+    # the demos or the benchmark names is dead code
+    refs = set()
+    for folder in ("src", "tests", "demos", "perfbench"):
+        for path in sorted((_ROOT / folder).rglob("*.py")):
+            refs.update(_references(ast.parse(path.read_text(), str(path))))
+    defs = [(path, line, name) for path in sorted(_PACKAGE.rglob("*.py"))
+            for line, name in _definitions(
+                ast.parse(path.read_text(), str(path)))]
+    assert len(defs) > 200
+    found = [f"{path.relative_to(_PACKAGE)}:{line} {name}"
+             for path, line, name in defs if name not in refs]
     assert found == []
