@@ -17,7 +17,7 @@ for name in ("A2", "G2", "F4", "E6", "E8"):
     rs = build_root_system(t)
     print(f"{t}: {len(rs.positive_roots)} positive roots, "
           f"highest root {rs.highest_root} (height "
-          f"{rs.highest_root.height}), Coxeter number {coxeter_number(rs)}")
+          f"{sum(rs.highest_root)}), Coxeter number {coxeter_number(rs)}")
 
 print()
 print("kappa(g): node-count formula vs count of roots at height "

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .exceptional import exceptional_lookup
@@ -120,11 +121,8 @@ def cmd_grade(args) -> int:
         if pair.g.ambient is None:
             raise UsageError("explicit partitions apply to classical "
                              "ambients only")
-        lam = Partition.parse(args.partition)
-        if len(pair.g0.factors) != 1:
-            raise UsageError("explicit partitions are supported for "
-                             "single-factor fixed algebras")
-        pd = decompose_classical(pair, [lam])
+        pd = decompose_classical(pair, list(map(Partition.parse,
+                                                args.partition)))
     else:
         pd = decompose(pair)
     mg = grading_grid(pd)
@@ -225,8 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grade", help="mixed grading grid of a pair")
     p.add_argument("pair", help="for example E6/C4 or so10/gl5")
-    p.add_argument("partition", nargs="?", default=None,
-                   help="optional Jordan type of e (single-factor g0)")
+    p.add_argument("partition", nargs="*",
+                   help="optional Jordan types of e, one per factor of g0 "
+                        "in the order the pair lists them")
     p.set_defaults(func=cmd_grade)
 
     p = sub.add_parser("upsilon", help="derived involution classes")
@@ -264,6 +263,13 @@ def main(argv=None) -> int:
     except (KeyError, ValueError) as ex:
         # str() of a KeyError is the repr of its message, quotes and all
         print(f"error: {ex.args[0] if ex.args else ex}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so that the flush at exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output ended",
+              file=sys.stderr)
         return 2
 
 

@@ -52,9 +52,14 @@ def factor_jordan_types(pair: SymmetricPair,
                         ) -> list[Partition]:
     """Jordan types of e in the defining representations of the factors of
     g0: regular in each factor unless given (and then checked)."""
+    factors = pair.g0.factors
     if given is None:
-        return [Partition(factor_regular_parts(f)) for f in pair.g0.factors]
-    for f, lam in zip(pair.g0.factors, given):
+        return [Partition(factor_regular_parts(f)) for f in factors]
+    if len(given) != len(factors):
+        raise ValueError(f"{pair}: g0 = {pair.descriptor} takes one "
+                         f"Jordan type per factor: {len(factors)} expected, "
+                         f"{len(given)} given")
+    for f, lam in zip(factors, given):
         fkind, fn = f
         if lam.n != fn:
             raise ValueError(f"partition {lam} does not fit factor "
@@ -383,9 +388,8 @@ class DivisibilityReport:
         return [n for n in names if not getattr(self, n)]
 
 
-def divisibility_report(pd: PairDecomposition,
-                     mg: MixedGrading | None = None) -> DivisibilityReport:
-    mg = mg or grading_grid(pd)
+def divisibility_report(pd: PairDecomposition) -> DivisibilityReport:
+    mg = grading_grid(pd)
     if not check_04(mg):
         raise ValueError(f"d0(0)={mg.d(0, 0)} != d1(4)={mg.d(1, 4)}; "
                          "the divisibility criterion does not apply")

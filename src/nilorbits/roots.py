@@ -167,29 +167,7 @@ class SimpleType:
         return {"family": self.family, "rank": self.rank}
 
 
-@dataclass(frozen=True)
-class Root:
-    """A root written in simple-root coordinates."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if not any(self.coeffs):
-            raise ValueError("the zero vector is not a root")
-        if min(self.coeffs) < 0 < max(self.coeffs):
-            raise ValueError("root coefficients must not mix signs")
-
-    @property
-    def height(self) -> int:
-        return sum(self.coeffs)
-
-    def __neg__(self) -> "Root":
-        return Root(tuple(-c for c in self.coeffs))
-
-    def __str__(self):
-        terms = [f"{'' if c == 1 else c}a{i + 1}"
-                 for i, c in enumerate(self.coeffs) if c]
-        return "+".join(terms) if terms else "0"
+Root = tuple[int, ...]      # coefficients on the simple roots
 
 
 class RootSystem:
@@ -197,8 +175,9 @@ class RootSystem:
 
     ``parents[k]`` is (j, i) with positive_roots[k] = positive_roots[j] +
     alpha_i for a root of height >= 2, and (None, i) for alpha_i itself.
-    Roots are sorted by height, so the simple roots come first and every
-    parent precedes its child.
+    Roots are sorted by height, then coefficients, so the simple roots come
+    first, every parent precedes its child and the highest root, the one
+    root of top height, is last.  A root's height is sum(root).
     """
 
     def __init__(self, type: SimpleType, positive_roots: tuple[Root, ...],
@@ -206,8 +185,7 @@ class RootSystem:
         self.type = type
         self.positive_roots = positive_roots
         self.parents = parents
-        self.simple_roots = tuple(r for r in positive_roots if r.height == 1)
-        self.highest_root = max(positive_roots, key=lambda r: r.height)
+        self.highest_root = positive_roots[-1]
 
     @property
     def rank(self) -> int:
@@ -215,7 +193,7 @@ class RootSystem:
 
     def norm2(self, root: Root) -> int:
         """(root, root), normalised so short simple roots have norm 2."""
-        t, c = self.type, root.coeffs
+        t, c = self.type, root
         d, a, adj = t.root_lengths(), t.cartan_matrix(), t.adjacency()
         return sum(c[i] * d[i] * (2 * c[i] + sum(a[i][j] * c[j]
                                                  for j in adj[i]))
@@ -230,10 +208,10 @@ class RootSystem:
         return out
 
     def is_long(self, root: Root) -> bool:
-        return self.norm2(root) == max(self.norm2(s) for s in self.simple_roots)
+        return self.norm2(root) == 2 * max(self.type.root_lengths())
 
     def roots_of_height(self, h: int) -> tuple[Root, ...]:
-        return tuple(r for r in self.positive_roots if r.height == h)
+        return tuple(r for r in self.positive_roots if sum(r) == h)
 
 
 @lru_cache(maxsize=None)
@@ -288,19 +266,18 @@ def build_root_system(t: SimpleType) -> RootSystem:
                 pairings[up] = pu
                 strings[up] = {i: p + 1}
         layer = sorted(new_layer)
-    index = {c: k for k, c in enumerate(order)}
-    roots = tuple(Root(c) for c in order)
-    if len(roots) != t.num_positive_roots:
+    if len(order) != t.num_positive_roots:
         raise RuntimeError(
-            f"closure for {t} produced {len(roots)} positive roots, "
+            f"closure for {t} produced {len(order)} positive roots, "
             f"expected {t.num_positive_roots}")
+    index = {c: k for k, c in enumerate(order)}
     parents = tuple((None if g is None else index[g], i)
                     for g, i in map(known.get, order))
-    return RootSystem(t, roots, parents)
+    return RootSystem(t, tuple(order), parents)
 
 
 def coxeter_number(rs: RootSystem) -> int:
-    return rs.highest_root.height + 1
+    return sum(rs.highest_root) + 1
 
 
 def kappa_direct(t: SimpleType) -> int:
@@ -321,7 +298,7 @@ def principal_layer(rs: RootSystem, i: int) -> tuple[Root, ...]:
     if i == 0:
         return ()
     layer = rs.roots_of_height(abs(i))
-    return layer if i > 0 else tuple(-r for r in layer)
+    return layer if i > 0 else tuple(tuple(-c for c in r) for r in layer)
 
 
 def beta_root(rs: RootSystem) -> Root:
@@ -329,15 +306,14 @@ def beta_root(rs: RootSystem) -> Root:
     the height-2 roots it forms the base of the even-height subsystem.
     There is none for types A and C (and B2 = C2); it must be long.
     """
-    layer2 = [r.coeffs for r in rs.roots_of_height(2)]
+    layer2 = rs.roots_of_height(2)
     sums = {tuple(a + b for a, b in zip(x, y)) for x in layer2 for y in layer2}
-    found = [r for r in rs.roots_of_height(4) if r.coeffs not in sums]
+    found = [r for r in rs.roots_of_height(4) if r not in sums]
     if not found:
         raise ValueError(f"beta root is not defined for type {rs.type}")
     if len(found) > 1 or not rs.is_long(found[0]):
         raise RuntimeError(f"{rs.type}: height-4 roots outside the height-2 "
-                           f"sums {[str(r) for r in found]} are not one "
-                           "long root")
+                           f"sums {found} are not one long root")
     return found[0]
 
 
@@ -353,9 +329,9 @@ def principal_inner_labels(rs: RootSystem) -> tuple[int, ...]:
     top = max(d)
     v = [0] * n
     for r in rs.positive_roots:
-        if r.height % 2 == 0:
+        if sum(r) % 2 == 0:
             w = 2 * top // rs.norm2(r)
-            for k, c in enumerate(r.coeffs):
+            for k, c in enumerate(r):
                 v[k] += w * c
     labels = tuple(d[i] * sum(a[i][k] * v[k] for k in range(n)) // top
                    for i in range(n))

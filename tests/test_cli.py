@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +13,7 @@ from hypothesis import strategies as st
 from nilorbits import gradings, oracle
 from nilorbits.cli import main, parse_ambient, parse_pair
 from nilorbits.oracle import oracle_sizes
-from nilorbits.orbits import centralizer_dims, valid_partitions
+from nilorbits.orbits import Partition, centralizer_dims, valid_partitions
 
 
 def run(capsys, *argv):
@@ -82,6 +86,38 @@ def test_grade_with_partition(capsys):
     data = json.loads(out)
     assert data["flags"]["d0(0)=d1(4)"] is True
     assert data["grid"]["d0"]["0"] == 3
+
+
+def test_grade_takes_one_jordan_type_per_factor(capsys):
+    code, out, err = run(capsys, "--json", "grade", "so9/so5+so4",
+                         "(3,1,1)", "(3,1)")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["orbit"] == "(3,3,1,1,1)"
+    p = parse_pair("so9/so5+so4")
+    mg = oracle.oracle_grid(p, [Partition.parse("(3,1,1)"),
+                                Partition.parse("(3,1)")])
+    assert (mg.row0, mg.row1) == ((6, 0, 5, 0, 0), (8, 0, 5, 0, 1))
+    assert data["grid"] == mg.to_json()
+    code, out, err = run(capsys, "grade", "so9/so5+so4", "(3,1,1)")
+    assert (code, out) == (2, "")
+    assert err == ("error: (B4, so5+so4): g0 = so5+so4 takes one Jordan "
+                   "type per factor: 2 expected, 1 given\n"), err
+
+
+def test_closed_stdout_exits_2_without_a_traceback():
+    # verify --json writes about 410 KB, more than a pipe buffer holds, so
+    # the writer is still printing when the reader closes the pipe
+    src = str(pathlib.Path(gradings.__file__).resolve().parents[1])
+    with subprocess.Popen(
+            [sys.executable, "-m", "nilorbits.cli", "--json", "verify"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src)) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 2, err
+    assert "Traceback" not in err and err.startswith("error: "), err
 
 
 def test_upsilon_command(capsys):

@@ -58,7 +58,7 @@ def layer_profile(t: SimpleType, labels) -> dict[int, int]:
     rs = build_root_system(t)
     out = {0: t.rank}
     for r in rs.positive_roots:
-        v = abs(sum(c * l for c, l in zip(r.coeffs, labels)))
+        v = abs(sum(c * l for c, l in zip(r, labels)))
         out[v] = out.get(v, 0) + (2 if v == 0 else 1)
     return out
 

@@ -457,6 +457,21 @@ def test_oracle_grid_with_explicit_partition():
     assert oracle_grid(p, lam).d(1, 4) == 3
 
 
+@pytest.mark.parametrize("lams", [["(3,1,1)"], ["(3,1,1)", "(3,1)", "(1)"]])
+def test_wrong_number_of_factor_jordan_types_is_named(lams):
+    # so5+so4 has two factors: both paths refuse one or three Jordan types
+    # with the pair, its factors and the count, not an IndexError or a
+    # failed triple
+    p = pair_by_descriptor(SimpleType("B", 4), "so5+so4")
+    lams = [P(x) for x in lams]
+    want = (r"\(B4, so5\+so4\): g0 = so5\+so4 takes one Jordan type per "
+            rf"factor: 2 expected, {len(lams)} given")
+    with pytest.raises(ValueError, match=want):
+        decompose_classical(p, lams)
+    with pytest.raises(ValueError, match=want):
+        oracle_grid(p, lams)
+
+
 def test_sp_half_search():
     def half(lam, n):
         return half_orbit(ClassicalOrbit("sp", n, P(lam))).partition.parts

@@ -83,7 +83,7 @@ def check_layer_dims(wdd, dim_centralizer):
     """layer_dim against a direct root count per layer, dim g, and Kostant's
     dim g(0) + dim g(1) = dim g^e."""
     t = wdd.type
-    heights = [sum(c * v for c, v in zip(r.coeffs, wdd.labels))
+    heights = [sum(c * v for c, v in zip(r, wdd.labels))
                for r in build_root_system(t).positive_roots]
     top = max(heights)
     assert wdd.layer_dim(0) == t.rank + 2 * heights.count(0)
@@ -103,7 +103,7 @@ def test_height_counts_match_direct_count_to_rank_24():
         roots = build_root_system(t).positive_roots
         for _ in range(20):
             labels = tuple(rng.choice((0, 1, 2)) for _ in range(t.rank))
-            direct = Counter(sum(c * v for c, v in zip(r.coeffs, labels))
+            direct = Counter(sum(c * v for c, v in zip(r, labels))
                              for r in roots)
             top = max(direct)
             wdd = WeightedDynkinDiagram(t, labels)

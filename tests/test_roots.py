@@ -4,7 +4,7 @@ import pytest
 
 from nilorbits.gradings import decompose
 from nilorbits.involutions import pi_involution
-from nilorbits.roots import (Root, SimpleType, all_simple_types,
+from nilorbits.roots import (SimpleType, all_simple_types,
                              beta_root, build_root_system, coxeter_number,
                              kappa_direct, kappa_root_count,
                              principal_inner_labels, principal_layer)
@@ -23,16 +23,14 @@ def test_positive_root_counts():
     for t in all_simple_types(8):
         rs = build_root_system(t)
         assert len(rs.positive_roots) == t.num_positive_roots
-        assert len(rs.simple_roots) == t.rank
-        assert len({r.coeffs for r in rs.positive_roots}) == \
-            len(rs.positive_roots)
+        assert len(rs.roots_of_height(1)) == t.rank
+        assert len(set(rs.positive_roots)) == len(rs.positive_roots)
 
 
 def test_a2_smallest_case():
     rs = build_root_system(SimpleType("A", 2))
-    assert {r.coeffs for r in rs.positive_roots} == \
-        {(1, 0), (0, 1), (1, 1)}
-    assert rs.highest_root.coeffs == (1, 1)
+    assert set(rs.positive_roots) == {(1, 0), (0, 1), (1, 1)}
+    assert rs.highest_root == (1, 1)
 
 
 def test_closure_matches_closed_forms_to_rank_24():
@@ -41,7 +39,7 @@ def test_closure_matches_closed_forms_to_rank_24():
     for t in all_simple_types(24):
         rs = build_root_system(t)
         exps = list(EXPONENTS[t.family](t.rank))
-        heights = Counter(r.height for r in rs.positive_roots)
+        heights = Counter(map(sum, rs.positive_roots))
         assert heights == {k: sum(1 for e in exps if e >= k)
                            for k in range(1, max(exps) + 1)}, str(t)
         n = t.rank
@@ -51,7 +49,7 @@ def test_closure_matches_closed_forms_to_rank_24():
                   "D": ((1,) + (2,) * (n - 3) + (1, 1), 2 * n - 2),
                   }.get(t.family, (None, None))
         if top is not None:
-            assert rs.highest_root.coeffs == top, str(t)
+            assert rs.highest_root == top, str(t)
             assert coxeter_number(rs) == c, str(t)
 
 
@@ -65,12 +63,12 @@ def test_recorded_parents_to_rank_24():
                                                rs.parents)):
             alpha = tuple(int(x == i) for x in range(t.rank))
             if j is None:
-                assert root.coeffs == alpha, (str(t), root)
+                assert root == alpha, (str(t), root)
                 continue
             parent = rs.positive_roots[j]
-            assert j < k and parent.height == root.height - 1, (str(t), root)
-            assert tuple(a + b for a, b in zip(parent.coeffs, alpha)) \
-                == root.coeffs, (str(t), root)
+            assert j < k and sum(parent) == sum(root) - 1, (str(t), root)
+            assert tuple(a + b for a, b in zip(parent, alpha)) == root, \
+                (str(t), root)
 
 
 def _string_walk_closure(t):
@@ -98,15 +96,14 @@ def _string_walk_closure(t):
 def test_closure_matches_string_walk_to_rank_24():
     for t in all_simple_types(24):
         rs = build_root_system(t)
-        assert [r.coeffs for r in rs.positive_roots] == \
-            _string_walk_closure(t), str(t)
+        assert list(rs.positive_roots) == _string_walk_closure(t), str(t)
 
 
 def test_g2_closure():
     rs = build_root_system(SimpleType("G", 2))
-    assert {r.coeffs for r in rs.positive_roots} == \
+    assert set(rs.positive_roots) == \
         {(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)}
-    assert rs.highest_root.coeffs == (3, 2)
+    assert rs.highest_root == (3, 2)
     assert rs.type.short_nodes() == frozenset({0})
 
 
@@ -118,8 +115,26 @@ def test_e8_count():
 def test_highest_root_unique_maximum():
     for t in all_simple_types(8):
         rs = build_root_system(t)
-        top = rs.highest_root.height
-        assert sum(1 for r in rs.positive_roots if r.height == top) == 1
+        top = sum(rs.highest_root)
+        assert sum(1 for r in rs.positive_roots if sum(r) == top) == 1
+
+
+def test_tuple_rules_match_their_definitions_to_rank_24():
+    # is_long reads the top simple-root length and highest_root the last
+    # root, and the simple roots come first; each against the rule it
+    # replaced: the largest norm2 of a simple root, a max by height, and
+    # the roots of height 1
+    for t in all_simple_types(24):
+        rs = build_root_system(t)
+        roots, n = rs.positive_roots, t.rank
+        simple = {tuple(int(j == i) for j in range(n)) for i in range(n)}
+        assert set(roots[:n]) == set(rs.roots_of_height(1)) == simple, str(t)
+        top = max(map(rs.norm2, simple))
+        assert all(rs.is_long(r) == (rs.norm2(r) == top) for r in roots), \
+            str(t)
+        tallest = max(map(sum, roots))
+        assert [r for r in roots if sum(r) == tallest] == \
+            [rs.highest_root], str(t)
 
 
 @pytest.mark.parametrize("t,c", [
@@ -161,16 +176,15 @@ def test_kappa_identity_rank_12():
 
 def test_principal_layers():
     rs = build_root_system(SimpleType("A", 3))
-    assert {r.coeffs for r in principal_layer(rs, 1)} == \
-        {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    assert set(principal_layer(rs, 1)) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
     assert principal_layer(rs, 0) == ()
     assert principal_layer(rs, 99) == ()
-    assert {r.coeffs for r in principal_layer(rs, -3)} == {(-1, -1, -1)}
+    assert principal_layer(rs, -3) == ((-1, -1, -1),)
     for t in all_simple_types(8):
         rs = build_root_system(t)
         assert len(principal_layer(rs, 2)) == t.rank - 1
-        top = rs.highest_root.height
-        assert principal_layer(rs, top) == (rs.highest_root,)
+        assert principal_layer(rs, sum(rs.highest_root)) == \
+            (rs.highest_root,)
 
 
 @pytest.mark.parametrize("t,coeffs", [
@@ -182,8 +196,8 @@ def test_principal_layers():
 ])
 def test_beta_root_values(t, coeffs):
     beta = beta_root(build_root_system(t))
-    assert beta.coeffs == coeffs
-    assert beta.height == 4
+    assert beta == coeffs
+    assert sum(beta) == 4
 
 
 def test_beta_root_excluded_types():
@@ -201,8 +215,7 @@ def test_beta_not_sum_of_layer2():
         layer2 = principal_layer(rs, 2)
         for x in layer2:
             for y in layer2:
-                assert tuple(a + b for a, b in zip(x.coeffs, y.coeffs)) \
-                    != beta.coeffs
+                assert tuple(a + b for a, b in zip(x, y)) != beta
         assert rs.is_long(beta)
 
 
@@ -268,7 +281,7 @@ def test_beta_matches_family_rule_to_rank_30():
             with pytest.raises(ValueError):
                 beta_root(rs)
         else:
-            assert beta_root(rs).coeffs == want, str(t)
+            assert beta_root(rs) == want, str(t)
 
 
 def test_principal_inner_labels_match_pi_orbit_to_rank_16():
@@ -280,13 +293,6 @@ def test_principal_inner_labels_match_pi_orbit_to_rank_16():
             str(t)
         if t.family in "ABCD" and t != SimpleType("B", 2):
             assert labels == _classical_pi_row(t)[1], str(t)
-
-
-def test_root_sign_invariant():
-    with pytest.raises(ValueError):
-        Root((1, -1))
-    with pytest.raises(ValueError):
-        Root((0, 0))
 
 
 def test_json_shape():
