@@ -247,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true",
                    help="print passing cases too")
     p.add_argument("--max-rank", type=int, default=8,
-                   help="rank bound for the classical sweeps")
+                   help="rank bound of the sweeps; grids, kappa (rank <= "
+                   "12) and oracle (n <= 9) keep fixed bounds")
     p.set_defaults(func=cmd_verify)
     return ap
 

@@ -16,13 +16,13 @@ layers match the published M0+M1).
 
 Extension format: one row per symmetric pair in
 `involutions.EXCEPTIONAL_ROWS`, whose last four fields are the Bala-Carter
-label of the orbit through an element regular in g0, its diagram labels,
-its reductive type and whether it is divisible (None: not recorded).
-ORBITS is keyed by (type string, label) and PAIR_ORBITS by (type string,
-g0).  The reductive type is text that `involutions.parse_factors` reads:
-'0', 't1', 'A1', 'A2+t1' and so on.  The sl2-modules M0 and M1 are not
-recorded: M0 is the principal module of g0 and M0+M1 is `wdd.module()` of
-the labelled orbit.
+label of the orbit through an element regular in g0, which must pass the
+Bala-Carter rule of the `tables` suite, its diagram labels, its reductive
+type and whether it is divisible (None: not recorded).  ORBITS is keyed by
+(type, label) and PAIR_ORBITS by (type, g0).  The reductive type is text
+that `involutions.parse_factors` reads: '0', 't1', 'A1', 'A2+t1' and so
+on.  M0 is the principal module of g0 and M0+M1 is `wdd.module()` of the
+labelled orbit; a new pair's published (M0, M1) goes in `verify.E_MODULES`.
 """
 
 from __future__ import annotations

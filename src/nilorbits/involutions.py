@@ -236,7 +236,7 @@ EXCEPTIONAL_ROWS = [
     ("E8", "D8",     True, (), (),
      "E8(a4)", (2, 0, 0, 2, 0, 2, 0, 2), "0", True),
     ("E8", "E7+A1",  True, (1, 2, 3, 4), (),
-     "E8(b4)", (2, 0, 0, 2, 0, 2, 2, 2), "0", None),
+     "E8(a3)", (2, 0, 0, 2, 0, 2, 2, 2), "0", None),
     ("F4", "C3+A1",  True, (), (),
      "F4(a2)", (2, 0, 2, 0), "0", None),
     ("F4", "B4",     True, (1, 2, 3), (),

@@ -8,6 +8,7 @@ re-run it by hand.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -16,8 +17,8 @@ from .gradings import (check_02, check_04, check_4k2,
                        collapsing_defect, d00_closed_form, decompose,
                        decompose_classical, dim_fixed_cross,
                        grading_grid, divisibility_report, upsilon)
-from .involutions import (catalog, maximal_rank, orbit_meets_g1,
-                          pair_by_descriptor, pi_involution)
+from .involutions import (Reductive, catalog, maximal_rank, orbit_meets_g1,
+                          pair_by_descriptor, parse_factors, pi_involution)
 from .orbits import (Partition, all_partitions,
                      centralizer_dims, half_orbit, is_divisible,
                      valid_partitions)
@@ -85,11 +86,9 @@ def swept_types(max_rank: int = 8) -> list[SimpleType]:
     return [t for t in all_simple_types(max_rank) if t != SimpleType("A", 1)]
 
 
-def swept_pairs(max_rank: int = 8, include_exceptional: bool = True):
+def swept_pairs(max_rank: int = 8):
     """Catalog pairs of the swept types."""
-    for t in swept_types(max_rank):
-        if include_exceptional or t.family in "ABCD":
-            yield from catalog(t)
+    return (p for t in swept_types(max_rank) for p in catalog(t))
 
 
 # ---------------------------------------------------------------------------
@@ -108,56 +107,27 @@ _TABLE_EXCEPTIONAL = [
 def _classical_pi_row(t: SimpleType):
     """(partition, labels, dim, red string, nil) predicted by the table of
     principal inner involutions for classical types."""
-    fam, r = t.family, t.rank
+    fam, r, m, even = t.family, t.rank, (t.rank + 1) // 2, t.rank % 2 == 0
+    alt = tuple(2 * (i % 2) for i in range(r))  # 0, 2, 0, 2, ...
+    flip = tuple(2 - a for a in alt)  # 2, 0, 2, 0, ...
     if fam == "A":
         n = r + 1
-        if n % 2 == 0:
-            k = n // 2
-            lam = (k, k)
-            labels = tuple(0 if i % 2 == 0 else 2 for i in range(r))
-            dim, red, nil = 2 * n - 1, "sl2", 2 * n - 4
-        else:
-            k = n // 2
-            lam = (k + 1, k)
-            labels = (1,) * r
-            dim, red, nil = 2 * n - 2, "t1", 2 * n - 3
-        return lam, labels, dim, red, nil
+        if even:
+            return (m + 1, m), (1,) * r, 2 * n - 2, "t1", 2 * n - 3
+        return (m, m), alt, 2 * n - 1, "sl2", 2 * n - 4
     if fam == "B":
-        n = 2 * r + 1
-        if r % 2 == 0:
-            m = r // 2
-            lam = (2 * m + 1, 2 * m - 1, 1)
-            dim, red, nil = 4 * m, "0", 4 * m
-        else:
-            m = (r + 1) // 2
-            lam = (2 * m - 1, 2 * m - 1, 1)
-            dim, red, nil = 4 * m - 1, "t1", 4 * m - 2
-        labels = tuple(2 if i % 2 == 0 else 0 for i in range(r)) \
-            if r % 2 == 0 else tuple(0 if i % 2 == 0 else 2 for i in range(r))
-        return lam, labels, dim, red, nil
+        if even:
+            return (2 * m + 1, 2 * m - 1, 1), flip, 4 * m, "0", 4 * m
+        return (2 * m - 1, 2 * m - 1, 1), alt, 4 * m - 1, "t1", 4 * m - 2
     if fam == "C":
-        if r % 2 == 0:
-            m = r // 2
-            lam = (2 * m, 2 * m)
-            dim, red, nil = 4 * m, "t1", 4 * m - 1
-        else:
-            m = (r + 1) // 2
-            lam = (2 * m - 1, 2 * m - 1)
-            dim, red, nil = 4 * m - 1, "sp2", 4 * m - 4
-        labels = tuple(0 if i % 2 == 0 else 2 for i in range(r))
-        return lam, labels, dim, red, nil
-    # D
-    if r % 2 == 0:
-        m = r // 2
-        lam = (2 * m - 1, 2 * m - 1, 1, 1)
-        dim, red, nil = 4 * m + 2, "t2", 4 * m
-        labels = tuple(0 if i % 2 == 0 else 2 for i in range(r - 2)) + (0, 0)
-    else:
-        m = (r + 1) // 2
-        lam = (2 * m - 1, 2 * m - 3, 1, 1)
-        dim, red, nil = 4 * m - 1, "t1", 4 * m - 2
-        labels = tuple(2 if i % 2 == 0 else 0 for i in range(r - 2)) + (0, 0)
-    return lam, labels, dim, red, nil
+        if even:
+            return (2 * m, 2 * m), alt, 4 * m, "t1", 4 * m - 1
+        return (2 * m - 1, 2 * m - 1), alt, 4 * m - 1, "sp2", 4 * m - 4
+    if even:
+        return (2 * m - 1, 2 * m - 1, 1, 1), alt[:-2] + (0, 0), \
+            4 * m + 2, "t2", 4 * m
+    return (2 * m - 1, 2 * m - 3, 1, 1), flip[:-2] + (0, 0), \
+        4 * m - 1, "t1", 4 * m - 2
 
 
 def suite_tables(max_rank: int = 8) -> VerificationReport:
@@ -183,6 +153,18 @@ def suite_tables(max_rank: int = 8) -> VerificationReport:
         rep.add(f"{ts} PI grid", "grid/record centraliser dims agree",
                 (dim, rec.dim_red, nil),
                 (mg.dim_centralizer, mg.dim_red, mg.dim_nil))
+    for rec in exc.ORBITS.values():
+        t, m = rec.type, re.fullmatch(r"(.*?)(?:\([ab]([0-9]+)\))?", rec.label)
+        try:
+            levi = parse_factors(m[1])
+            want = (t.rank - Reductive(levi).rank,
+                    int(m[2] or 0) if levi == ((t.family, t.rank),) else None)
+        except ValueError:
+            want = None  # no Levi type to read
+        red = rec.red.rank
+        rep.add(f"{t} {rec.label} label", "Bala-Carter: rank red = rank g - "
+                "rank L, G(a_i) or G(b_i) has i zeros",
+                want, (red, None if red else len(rec.wdd.zeros)))
     for t in swept_types(max_rank):
         if t.family not in "ABCD":
             continue
@@ -203,34 +185,46 @@ def suite_tables(max_rank: int = 8) -> VerificationReport:
 # Suite: grids (the worked dimension tables)
 # ---------------------------------------------------------------------------
 
-_E_GRIDS = {
-    # (M0, M1), then the even layers of rows d0 and d1
-    ("E6", "C4"): ("R2+R6+R10+R14", "R4+R8+R10+R16",
-                   (4, 4, 3, 3, 2, 2, 1, 1, 0),
-                   (4, 4, 4, 3, 3, 2, 1, 1, 1)),
-    ("E7", "A7"): ("R2+R4+R6+R8+R10+R12+R14", "R0+2*R4+2*R8+R10+R12+R16",
-                   (7, 7, 6, 5, 4, 3, 2, 1, 0),
-                   (8, 7, 7, 5, 5, 3, 2, 1, 1)),
-    ("E8", "D8"): ("R2+R6+R10+2*R14+R18+R22+R26",
-                   "R4+R8+R10+R14+R16+R18+R22+R28",
-                   (8, 8, 7, 7, 6, 6, 5, 5, 3, 3, 2, 2, 1, 1, 0),
+E_MODULES = {
+    # (ambient, g0) in catalog order -> (M0, M1) as published for the
+    # regular element of g0 (M0 + M1 is g under the triple)
+    ("E6", "C4"):     ("R2+R6+R10+R14", "R4+R8+R10+R16"),
+    ("E6", "A5+A1"):  ("2*R2+R4+R6+R8+R10", "R2+2*R4+R6+R8+R10"),
+    ("E6", "D5+t1"):  ("R0+R2+R6+R8+R10+R14", "2*R4+2*R10"),
+    ("E6", "F4"):     ("R2+R10+R14+R22", "R8+R16"),
+    ("E7", "A7"):     ("R2+R4+R6+R8+R10+R12+R14", "R0+2*R4+2*R8+R10+R12+R16"),
+    ("E7", "D6+A1"):  ("2*R2+R6+2*R10+R14+R18", "R4+R6+R8+R10+R14+R16"),
+    ("E7", "E6+t1"):  ("R0+R2+R8+R10+R14+R16+R22", "2*R0+2*R8+2*R16"),
+    ("E8", "D8"):     ("R2+R6+R10+2*R14+R18+R22+R26",
+                       "R4+R8+R10+R14+R16+R18+R22+R28"),
+    ("E8", "E7+A1"):  ("2*R2+R10+R14+R18+R22+R26+R34",
+                       "R8+R10+R16+R18+R26+R28"),
+    ("F4", "C3+A1"):  ("2*R2+R6+R10", "R2+R4+R8+R10"),
+    ("F4", "B4"):     ("R2+R6+R10+R14", "R4+R10"),
+    ("G2", "A1+A1~"): ("2*R2", "R2+R4"),
+}
+
+E_GRIDS = {
+    # the pairs with d0(0) = d1(4): even layers of rows d0 and d1
+    ("E6", "C4"): ((4, 4, 3, 3, 2, 2, 1, 1, 0), (4, 4, 4, 3, 3, 2, 1, 1, 1)),
+    ("E7", "A7"): ((7, 7, 6, 5, 4, 3, 2, 1, 0), (8, 7, 7, 5, 5, 3, 2, 1, 1)),
+    ("E8", "D8"): ((8, 8, 7, 7, 6, 6, 5, 5, 3, 3, 2, 2, 1, 1, 0),
                    (8, 8, 8, 7, 7, 6, 5, 5, 4, 3, 2, 2, 1, 1, 1)),
 }
 
 
 def suite_grids() -> VerificationReport:
     rep = VerificationReport("grids")
-    for (ts, g0), (m0s, m1s, row0, row1) in _E_GRIDS.items():
-        pair = pair_by_descriptor(SimpleType.parse(ts), g0)
-        pd = decompose(pair)
+    for (ts, g0), modules in E_MODULES.items():
+        pd = decompose(pair_by_descriptor(SimpleType.parse(ts), g0))
         rep.add(f"{ts}/{g0} modules", "(M0, M1)",
-                (SL2Module.parse(m0s), SL2Module.parse(m1s)), (pd.m0, pd.m1))
-        mg = grading_grid(pd)
-        got0 = tuple(mg.d(0, i) for i in range(0, 2 * len(row0), 2))
-        got1 = tuple(mg.d(1, i) for i in range(0, 2 * len(row1), 2))
-        rep.add(f"{ts}/{g0} row d0", "even layers", row0, got0)
-        rep.add(f"{ts}/{g0} row d1", "even layers", row1, got1)
-        rep.add(f"{ts}/{g0} boxed", "d0(0) = d1(4)", True, check_04(mg))
+                tuple(map(SL2Module.parse, modules)), (pd.m0, pd.m1))
+        if (ts, g0) in E_GRIDS:
+            mg = grading_grid(pd)
+            for j, row in enumerate(E_GRIDS[(ts, g0)]):
+                rep.add(f"{ts}/{g0} row d{j}", "even layers", row,
+                        tuple(mg.d(j, i) for i in range(0, 2 * len(row), 2)))
+            rep.add(f"{ts}/{g0} boxed", "d0(0) = d1(4)", True, check_04(mg))
     # the two-part family in the split pair of sl_2n
     for m, k in [(2, 0), (3, 0), (3, 1), (4, 1), (4, 2), (5, 2), (6, 1)]:
         n = m + k + 1
@@ -266,8 +260,8 @@ def suite_divisible(max_rank: int = 8) -> VerificationReport:
         pd = decompose(pair)
         if check_04(grading_grid(pd)):
             hits.add((str(pair.g), pair.descriptor))
-    expected = {(f"E{r}", g0) for r, g0 in ((6, "C4"), (7, "A7"), (8, "D8"))
-                if r <= max_rank}
+    expected = {(ts, g0) for ts, g0 in E_GRIDS
+                if SimpleType.parse(ts).rank <= max_rank}
     for n in range(3, max_rank + 2):
         pair = pair_by_descriptor(SimpleType("A", n - 1), f"so{n}")
         if _sl_family_member(decompose(pair).orbit.partition.parts):
@@ -285,7 +279,7 @@ def suite_divisible(max_rank: int = 8) -> VerificationReport:
                     _sl_family_member(lam.parts),
                     check_04(grading_grid(pd)))
     # consequences where the equality holds
-    for ts, g0 in [("E6", "C4"), ("E7", "A7"), ("E8", "D8")]:
+    for ts, g0 in E_GRIDS:
         pd = decompose(pair_by_descriptor(SimpleType.parse(ts), g0))
         report = divisibility_report(pd)
         rep.add(f"{ts}/{g0} consequences", "divisibility report clean",
@@ -414,8 +408,8 @@ def suite_oracle(max_n: int = 9) -> VerificationReport:
                          [v // 2 for v in o.partition.weight_string()],
                          half.partition.weight_string())
     rep.cases = z.cases + ker2.cases + sp_half.cases
-    for pair in swept_pairs(max_n - 1, include_exceptional=False):
-        if pair.g.ambient[1] > max_n:
+    for pair in swept_pairs(max_n - 1):
+        if pair.g.ambient is None or pair.g.ambient[1] > max_n:
             continue
         rep.add(f"grid {pair.g}/{pair.descriptor}",
                 "matrix grid = module grid",

@@ -16,30 +16,12 @@ from nilorbits.involutions import (EXCEPTIONAL_ROWS, catalog,
 from nilorbits.orbits import WeightedDynkinDiagram
 from nilorbits.roots import SimpleType, build_root_system
 from nilorbits.sl2 import SL2Module
-from nilorbits.verify import suite_tables
+from nilorbits.verify import E_MODULES, suite_tables
 from rootdata import EXPONENTS
 
-# (ambient, g0) -> (M0, M1, Bala-Carter label of e regular in g0), as
-# published for the regular element of g0 (M0 + M1 is g under the triple)
-PUBLISHED = {
-    ("E6", "C4"):     ("R2+R6+R10+R14", "R4+R8+R10+R16", "E6(a1)"),
-    ("E6", "A5+A1"):  ("2*R2+R4+R6+R8+R10", "R2+2*R4+R6+R8+R10", "E6(a3)"),
-    ("E6", "F4"):     ("R2+R10+R14+R22", "R8+R16", "E6"),
-    ("E6", "D5+t1"):  ("R0+R2+R6+R8+R10+R14", "2*R4+2*R10", "D5"),
-    ("E7", "A7"):     ("R2+R4+R6+R8+R10+R12+R14",
-                       "R0+2*R4+2*R8+R10+R12+R16", "E6(a1)"),
-    ("E7", "D6+A1"):  ("2*R2+R6+2*R10+R14+R18",
-                       "R4+R6+R8+R10+R14+R16", "E7(a3)"),
-    ("E7", "E6+t1"):  ("R0+R2+R8+R10+R14+R16+R22",
-                       "2*R0+2*R8+2*R16", "E6"),
-    ("E8", "D8"):     ("R2+R6+R10+2*R14+R18+R22+R26",
-                       "R4+R8+R10+R14+R16+R18+R22+R28", "E8(a4)"),
-    ("E8", "E7+A1"):  ("2*R2+R10+R14+R18+R22+R26+R34",
-                       "R8+R10+R16+R18+R26+R28", "E8(b4)"),
-    ("F4", "C3+A1"):  ("2*R2+R6+R10", "R2+R4+R8+R10", "F4(a2)"),
-    ("F4", "B4"):     ("R2+R6+R10+R14", "R4+R10", "F4(a1)"),
-    ("G2", "A1+A1~"): ("2*R2", "R2+R4", "G2(a1)"),
-}
+# the twelve exceptional pairs in catalog order
+EXCEPTIONAL_PAIRS = [(ts, p) for ts in ("E6", "E7", "E8", "F4", "G2")
+                     for p in catalog(SimpleType.parse(ts))]
 
 
 def principal_module(factors) -> SL2Module:
@@ -68,15 +50,14 @@ def module_profile(m: SL2Module) -> dict[int, int]:
             if m.eigen_dim(i)}
 
 
-@pytest.mark.parametrize("key", sorted(PUBLISHED))
+@pytest.mark.parametrize("key", sorted(E_MODULES))
 def test_pair_records_regenerate(key):
     ts, desc = key
     t = SimpleType.parse(ts)
     pair = pair_by_descriptor(t, desc)
-    m0s, m1s, label = PUBLISHED[key]
-    m0, m1 = SL2Module.parse(m0s), SL2Module.parse(m1s)
+    m0, m1 = map(SL2Module.parse, E_MODULES[key])
     pd = decompose(pair)
-    assert (pd.m0, pd.m1, pd.orbit.label) == (m0, m1, label)
+    assert (pd.m0, pd.m1) == (m0, m1)
     # the even part carries the principal decomposition of g0
     assert m0 == principal_module(pair.g0.factors)
     assert m0.dim == pair.dim_g0 and m1.dim == pair.dim_g1
@@ -84,8 +65,7 @@ def test_pair_records_regenerate(key):
     want = module_profile(m0 + m1)
     hits = [labels for labels in product((0, 2), repeat=t.rank)
             if layer_profile(t, labels) == want]
-    assert hits == [exceptional_lookup(t, label).wdd.labels]
-    assert pd.orbit.wdd.labels == hits[0]
+    assert hits == [pd.orbit.wdd.labels]
 
 
 @pytest.mark.parametrize("key", sorted(ORBITS))
@@ -141,12 +121,28 @@ def test_lookup_errors_list_known_labels():
 
 
 def test_every_exceptional_pair_has_a_record():
-    for ts in ("E6", "E7", "E8", "F4", "G2"):
-        t = SimpleType.parse(ts)
-        for p in catalog(t):
-            pd = decompose(p)
-            assert pd.m0.dim + pd.m1.dim == t.dimension
-            assert PUBLISHED[(ts, p.descriptor)][2] == pd.orbit.label
+    for _, p in EXCEPTIONAL_PAIRS:
+        pd = decompose(p)
+        assert pd.m0.dim + pd.m1.dim == p.g.dimension
+
+
+def test_published_modules_cover_the_exceptional_classes():
+    # in catalog order, which the grids suite reports
+    assert list(E_MODULES) == [(ts, p.descriptor)
+                               for ts, p in EXCEPTIONAL_PAIRS]
+
+
+@pytest.mark.parametrize("key,label", [(("E8", "E8(a3)"), "E8(b4)"),
+                                       (("E7", "E6"), "(A5)''")],
+                         ids=["wrong-subscript", "unreadable"])
+def test_a_label_against_the_bala_carter_rule_fails_its_case(
+        monkeypatch, key, label):
+    # E8(b4) names 4 zeros where the diagram has 3; (A5)'' names no Levi
+    # type that parse_factors reads
+    monkeypatch.setitem(ORBITS, key, replace(ORBITS[key], label=label))
+    rep = suite_tables()
+    assert [c.case_id for c in rep.cases if not c.passed] \
+        == [f"{key[0]} {label} label"]
 
 
 def test_one_orbit_row_per_exceptional_pair():
@@ -155,9 +151,7 @@ def test_one_orbit_row_per_exceptional_pair():
     rows = {}
     for ts, g0, _, _, _, label, *_ in EXCEPTIONAL_ROWS:
         rows.setdefault((ts, g0), []).append(label)
-    classes = {(ts, p.descriptor)
-               for ts in ("E6", "E7", "E8", "F4", "G2")
-               for p in catalog(SimpleType.parse(ts))}
+    classes = {(ts, p.descriptor) for ts, p in EXCEPTIONAL_PAIRS}
     assert set(rows) == classes == set(PAIR_ORBITS)
     assert all(len(labels) == 1 for labels in rows.values()), rows
     assert len(EXCEPTIONAL_ROWS) == len(classes) == 12
@@ -175,7 +169,7 @@ PINNED_CLASSES = [
     ("E7", "D6+A1", True, (1, 4, 6), (), "E7(a3)"),
     ("E7", "E6+t1", True, (1, 2, 3, 4), (), "E6"),
     ("E8", "D8", True, (), (), "E8(a4)"),
-    ("E8", "E7+A1", True, (1, 2, 3, 4), (), "E8(b4)"),
+    ("E8", "E7+A1", True, (1, 2, 3, 4), (), "E8(a3)"),
     ("F4", "C3+A1", True, (), (), "F4(a2)"),
     ("F4", "B4", True, (1, 2, 3), (), "F4(a1)"),
     ("G2", "A1+A1~", True, (), (), "G2(a1)"),
@@ -185,14 +179,6 @@ PINNED_CLASSES = [
 def test_exceptional_classes_are_pinned():
     got = [(ts, p.descriptor, p.inner, tuple(sorted(p.satake.black)),
             tuple(sorted(p.satake.arrows)), decompose(p).orbit.label)
-           for ts in ("E6", "E7", "E8", "F4", "G2")
-           for p in catalog(SimpleType.parse(ts))]
+           for ts, p in EXCEPTIONAL_PAIRS]
     assert got == PINNED_CLASSES
 
-
-def test_table_rows():
-    assert exceptional_lookup(SimpleType("G", 2), "G2(a1)").wdd.labels \
-        == (0, 2)
-    assert exceptional_lookup(SimpleType("E", 8), "E8(a4)").dim_nil == 16
-    e7 = exceptional_lookup(SimpleType("E", 7), "E6(a1)")
-    assert (e7.dim_centralizer, str(e7.red), e7.dim_nil) == (15, "t1", 14)

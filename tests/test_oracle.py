@@ -76,8 +76,8 @@ def oracle_triples(max_n):
            for kind, ns in oracle_sizes(max_n).items() for n in ns
            for o in valid_partitions(kind, n)]
     out += [realize_pair(p).triple
-            for p in swept_pairs(max_n - 1, include_exceptional=False)
-            if p.g.ambient[1] <= max_n]
+            for p in swept_pairs(max_n - 1)
+            if p.g.ambient is not None and p.g.ambient[1] <= max_n]
     return out
 
 

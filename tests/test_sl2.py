@@ -5,12 +5,14 @@ from hypothesis import given, strategies as st
 
 from nilorbits.sl2 import (NegativeMultiplicityError, R, SL2Module, alt2,
                            sym2, tensor)
+from nilorbits.verify import E_MODULES
 
 from charutil import (alt2_by_character, sym2_by_character,
                       tensor_by_character)
 
 modules = st.dictionaries(st.integers(0, 9), st.integers(1, 3),
                           min_size=0, max_size=4).map(SL2Module)
+E6_C4 = tuple(map(SL2Module.parse, E_MODULES[("E6", "C4")]))  # (M0, M1)
 
 
 def test_clebsch_gordan_basics():
@@ -76,7 +78,7 @@ def test_eigen_dim():
     assert R(4).eigen_dim(0) == 1
     assert R(4).eigen_dim(3) == 0
     assert R(4).eigen_dim(-4) == 1
-    m = SL2Module.parse("R2+R6+R10+R14")
+    m = E6_C4[0]
     assert m.eigen_dim(0) == 4
     assert m.eigen_dim(16) == 0
 
@@ -92,9 +94,9 @@ def test_eigen_dim_symmetry_and_monotonicity(m):
 
 def test_signed_counts():
     assert R(0).signed_count() == 1
-    assert SL2Module.parse("R2+R6+R10+R14").signed_count() == -4
+    assert E6_C4[0].signed_count() == -4
     # the sigma-sigma-check difference weighs g1 by -s1
-    assert -SL2Module.parse("R4+R8+R10+R16").signed_count() == -2
+    assert -E6_C4[1].signed_count() == -2
     with pytest.raises(ValueError):
         SL2Module.parse("R3").signed_count()
 

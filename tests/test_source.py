@@ -82,3 +82,19 @@ def test_every_definition_in_the_package_is_referenced():
     found = [f"{path.relative_to(_PACKAGE)}:{line} {name}"
              for path, line, name in defs if name not in refs]
     assert found == []
+
+
+def test_computation_modules_import_neither_verify_nor_cli():
+    # verify holds the expected sides: a computation that read them would
+    # make a check compare a value with itself
+    found = []
+    for name in ("roots", "sl2", "orbits", "involutions", "exceptional",
+                 "gradings", "linalg", "oracle"):
+        path = _PACKAGE / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                base = getattr(node, "module", None) or ""
+                mods = [f"{base}.{a.name}".strip(".") for a in node.names]
+                found += [f"{name}.py: {m}" for m in mods
+                          if re.match(r"(nilorbits\.)?(verify|cli)\b", m)]
+    assert found == []
