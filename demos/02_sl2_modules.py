@@ -9,6 +9,7 @@ counts used to identify derived involutions.
 """
 
 from nilorbits.sl2 import R, SL2Module, alt2, sym2, tensor
+from nilorbits.verify import E_MODULES
 
 print("Clebsch-Gordan products:")
 print(f"  R2 x R2 = {tensor(R(2), R(2))}")
@@ -20,8 +21,7 @@ print(f"  Sym2 R2 = {sym2(R(2))}   Alt2 R2 = {alt2(R(2))}")
 print(f"  Alt2(R4 + R2) = {alt2(SL2Module.parse('R4+R2'))}")
 
 print()
-m0 = SL2Module.parse("R2+R6+R10+R14")   # fixed part for the C4 pair of E6
-m1 = SL2Module.parse("R4+R8+R10+R16")
+m0, m1 = map(SL2Module.parse, E_MODULES[("E6", "C4")])  # the C4 pair of E6
 print(f"M0 = {m0} (dim {m0.dim}),  M1 = {m1} (dim {m1.dim})")
 print("eigenvalue dimensions d(i) of M0:",
       [m0.eigen_dim(i) for i in range(0, 16, 2)])

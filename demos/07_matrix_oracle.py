@@ -20,7 +20,7 @@ from nilorbits.roots import SimpleType
 lam = Partition.parse("(5,3,1)")
 t = triple_from_partition("so", 9, lam)
 print(f"so9 {lam}: triple relations hold: {t.check_relations()}")
-print(f"  h eigenvalues: {t.h_diagonal}")
+print(f"  h eigenvalues: {t.h}")
 print(f"  dim z(e): matrix rank -> {centralizer_dim(t)}, "
       f"partition formula -> {centralizer_dims(ClassicalOrbit('so', 9, lam))[0]}")
 

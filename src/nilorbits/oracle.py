@@ -5,11 +5,13 @@ This is the independent verification path: sl_n is realised as traceless
 matrices, so_n/sp_n as {X : X^T B + B X = 0} for an explicit integer form
 B, nilpotent triples are built block-by-block from Jordan strings, and
 every dimension (centralisers, kernels, grading layers) is recomputed by
-exact rank arithmetic, one h-weight block at a time.  ad e and sigma are
-never built as dense matrices: each coordinate's image is one sparse
-integer row, and linalg.rank ranks the rows of a block.  The triple
-relations are checked entry by entry against the diagonal of h and the
-signed permutation of the form, with [e, f] = h the one dense product.
+exact rank arithmetic, one h-weight block at a time.  Each matrix is kept
+in the one sparse form its checks read: e and f as their nonzero entries,
+h as its diagonal and B as a signed permutation.  ad e and sigma are never
+built as dense matrices: each coordinate's image is one sparse integer
+row, and linalg.rank ranks the rows of a block.  [e, f] = h is the one
+dense product, and solve_in_span for the Cartan images of outer sl pairs
+the one dense solve.
 Nothing here consults the partition formulas or the sl2-module calculus,
 so agreement between the two paths is a real check.
 
@@ -29,8 +31,8 @@ from functools import cached_property
 
 from .gradings import MixedGrading, factor_jordan_types
 from .involutions import SymmetricPair
-from .linalg import (Matrix, SparseRow, commutator, eigenspace_dim,
-                     mat_scale, rank, solve_in_span, transpose, zeros)
+from .linalg import (Matrix, SparseRow, commutator, eigenspace_dim, rank,
+                     solve_in_span, zeros)
 from .orbits import ClassicalOrbit, Partition
 
 
@@ -45,65 +47,50 @@ def oracle_sizes(max_n: int) -> dict[str, range]:
 # Triples
 # ---------------------------------------------------------------------------
 
+Entries = dict[tuple[int, int], int]  # nonzero entries (i, j) -> value
+Form = list[tuple[int, int]]  # B = sum_i b_i E_{i,p(i)} as (p(i), b_i)
+
+
 @dataclass
 class SL2Triple:
     kind: str          # ambient: sl / so / sp
     n: int
-    e: Matrix
-    h: Matrix
-    f: Matrix
-    form: Matrix | None  # None for sl
+    e: Entries
+    h: list[int]       # the diagonal of h
+    f: Entries
+    form: Form | None  # None for sl
 
     def check_relations(self) -> bool:
         """[h, e] = 2e, [h, f] = -2f, [e, f] = h and, for so/sp,
         x^T B + B x = 0 for x = e, h, f.
 
-        h must be diagonal, so the first two hold when every nonzero e_ij
-        has h_i - h_j = 2 and every nonzero f_ij has h_i - h_j = -2; the
-        form must be a signed permutation (see form_perm), so the last is
-        checked entry by entry.  [e, f] = h is the one dense product."""
-        e_nz, h_nz, f_nz = ([(r, c, v) for r, row in enumerate(x)
-                             for c, v in enumerate(row) if v]
-                            for x in (self.e, self.h, self.f))
-        if any(r != c for r, c, _ in h_nz):
+        h is diagonal, so the first two hold when every entry e_ij has
+        h_i - h_j = 2 and every entry f_ij has h_i - h_j = -2; the form
+        must be a +-1 permutation of range(n), so the last is checked entry
+        by entry.  [e, f] = h is the one dense product."""
+        d, n, h = self.h, self.n, _diagonal(self.h)
+        if any(d[r] - d[c] != 2 for r, c in self.e) or \
+                any(d[r] - d[c] != -2 for r, c in self.f):
             return False
-        d = self.h_diagonal
-        if any(d[r] - d[c] != 2 for r, c, _ in e_nz) or \
-                any(d[r] - d[c] != -2 for r, c, _ in f_nz):
+        if commutator(_dense(self.e, n), _dense(self.f, n)) != _dense(h, n):
             return False
-        if commutator(self.e, self.f) != self.h:
-            return False
-        if self.form is None:
+        form = self.form
+        if form is None:
             return True
-        try:
-            perm = self.form_perm
-        except ValueError:
+        if sorted(c for c, _ in form) != list(range(n)) or \
+                any(b not in (1, -1) for _, b in form):
             return False
-        # B = sum_i b_i E_{i,p(i)}, so B x has b_i x_{p(i),j} at (i, j)
-        # and x^T B has b_k x_{k,i} at (i, p(k))
-        inv = [0] * self.n
-        for i, (c, _) in enumerate(perm):
+        # B x has b_i x_{p(i),j} at (i, j) and x^T B has b_k x_{k,i} at
+        # (i, p(k))
+        inv = [0] * n
+        for i, (c, _) in enumerate(form):
             inv[c] = i
-        for nz in (e_nz, h_nz, f_nz):
-            bx = {(inv[r], c): perm[inv[r]][1] * v for r, c, v in nz}
-            xtb = {(c, perm[r][0]): -perm[r][1] * v for r, c, v in nz}
+        for x in (self.e, h, self.f):
+            bx = {(inv[r], c): form[inv[r]][1] * v for (r, c), v in x.items()}
+            xtb = {(c, form[r][0]): -form[r][1] * v for (r, c), v in x.items()}
             if bx != xtb:
                 return False
         return True
-
-    @property
-    def h_diagonal(self) -> list[int]:
-        return [self.h[i][i] for i in range(self.n)]
-
-    @cached_property
-    def form_perm(self) -> list[tuple[int, int]]:
-        """The form B as a signed permutation: entry i is (p(i), b_i) for
-        the only nonzero entry b_i = +-1 of row i, in column p(i)."""
-        rows = [[(j, v) for j, v in enumerate(row) if v] for row in self.form]
-        cols = sorted(j for r in rows for j, v in r if v in (1, -1))
-        if any(len(r) != 1 for r in rows) or cols != list(range(self.n)):
-            raise ValueError("the form is not a signed permutation matrix")
-        return [r[0] for r in rows]
 
     @cached_property
     def ad_blocks(self) -> tuple[int, dict[int, list[SparseRow]]]:
@@ -111,7 +98,7 @@ class SL2Triple:
         under ad e of the coordinates of weight w, one sparse row each over
         the coordinates of weight w + 2 (see _weight_blocks).
 
-        Each image is read from the nonzero rows and columns of e.  On sl,
+        Each image is read from the rows and columns of e.  On sl,
         [e, E_ij] = sum_r e_ri E_rj - sum_c e_jc E_ic.  On so/sp the image
         of A = E_ij + s E_ji (s = -1 on so, +1 on sp; A = E_ii for i = j)
         is -(e^T A + A e) = N + s N^T with N = -A e, whose rows i and j
@@ -121,21 +108,20 @@ class SL2Triple:
         of Jordan strings, so each image has a few entries, and e of
         h-weight 2 puts them all in weight w + 2.
         """
-        kind, n, h = self.kind, self.n, self.h_diagonal
+        kind, n, h = self.kind, self.n, self.h
         blocks = _weight_blocks(kind, h)
-        e_rows = [[(c, v) for c, v in enumerate(row) if v] for row in self.e]
-        if any(h[r] - h[c] != 2 for r, row in enumerate(e_rows)
-               for c, _ in row):
+        if any(h[r] - h[c] != 2 for r, c in self.e):
             raise RuntimeError("e is not of h-weight 2")
+        e_rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        e_cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for (r, c), v in self.e.items():
+            e_rows[r].append((c, v))
+            e_cols[c].append((r * n, v))
         ad: dict[int, list[SparseRow]] = {}
         if kind == "sl":
             # e has no diagonal entry, so the two sums never meet
             index = {i * n + j: k for cs in blocks.values()
                      for k, (i, j) in enumerate(cs)}
-            e_cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-            for r, row in enumerate(e_rows):
-                for c, v in row:
-                    e_cols[c].append((r * n, v))
             for w, cs in blocks.items():
                 rows = []
                 for i, j in cs:
@@ -177,18 +163,11 @@ class SL2Triple:
         return sum(map(len, blocks.values())), ad
 
 
-def _put_string_form(form: Matrix, r0: int, c0: int, p: int, sign: int):
+def _put_string_form(form: Form, r0: int, c0: int, p: int, sign: int):
     """sign * C at (r0, c0), where C[i][p-1-i] = (-1)^i is the form on a
     length-p string."""
     for i in range(p):
-        form[r0 + i][c0 + p - 1 - i] = sign * (-1) ** i
-
-
-def _embed(dst: Matrix, block: Matrix, r0: int, c0: int):
-    for i, row in enumerate(block):
-        for j, v in enumerate(row):
-            if v:
-                dst[r0 + i][c0 + j] = v
+        form[r0 + i] = (c0 + p - 1 - i, sign * (-1) ** i)
 
 
 def triple_from_partition(kind: str, n: int,
@@ -196,16 +175,17 @@ def triple_from_partition(kind: str, n: int,
     """Block triple for the orbit with the given Jordan type, inside a
     compatible bilinear form for so/sp."""
     ClassicalOrbit(kind, n, lam)  # validity
-    e, h, f = zeros(n, n), zeros(n, n), zeros(n, n)
-    form = None if kind == "sl" else zeros(n, n)
+    e: Entries = {}
+    f: Entries = {}
+    h: list[int] = []
+    form = None if kind == "sl" else [None] * n
     pos = 0
     pending: dict[int, int] = {}  # part -> offset of an unpaired block
     for p in lam.parts:
-        for i in range(p):                   # a Jordan string at pos
-            h[pos + i][pos + i] = p - 1 - 2 * i
-            if i:
-                e[pos + i - 1][pos + i] = 1
-                f[pos + i][pos + i - 1] = i * (p - i)
+        h += [p - 1 - 2 * i for i in range(p)]  # a Jordan string at pos
+        for i in range(1, p):
+            e[(pos + i - 1, pos + i)] = 1
+            f[(pos + i, pos + i - 1)] = i * (p - i)
         if kind != "sl":
             needs_pair = (p % 2 == 0) if kind == "so" else (p % 2 == 1)
             if not needs_pair:
@@ -224,12 +204,20 @@ def triple_from_partition(kind: str, n: int,
     return SL2Triple(kind, n, e, h, f, form)
 
 
+def _diagonal(h: list[int]) -> Entries:
+    return {(i, i): v for i, v in enumerate(h) if v}
+
+
+def _dense(x: Entries, n: int) -> Matrix:
+    out = zeros(n, n)
+    for (i, j), v in x.items():
+        out[i][j] = v
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Coordinates and the h-weight blocks of ad e
 # ---------------------------------------------------------------------------
-
-Entries = dict[tuple[int, int], int]  # nonzero entries (i, j) -> value
-
 
 def _weight_blocks(kind: str, h: list[int]
                    ) -> dict[int, list[tuple[int, int]]]:
@@ -290,7 +278,6 @@ def ker_ad_squared(triple: SL2Triple) -> int:
 
 @dataclass
 class RealizedPair:
-    pair: SymmetricPair
     triple: SL2Triple
     sign_vector: list[int] | None   # sigma = conjugation by diag(signs)
 
@@ -300,23 +287,11 @@ class RealizedPair:
         X -> -B^{-1} X^T B of outer sl: with B = sum_i b_i E_{i,p(i)} it
         sends E_ij to -b_i b_j E_{p(j),p(i)}."""
         if self.sign_vector is None:
-            perm = self.triple.form_perm
+            perm = self.triple.form
             return {(perm[j][0], perm[i][0]): -perm[i][1] * perm[j][1] * v
                     for (i, j), v in x.items()}
         s = self.sign_vector
         return {(i, j): s[i] * s[j] * v for (i, j), v in x.items()}
-
-    def sigma(self, x: Matrix) -> Matrix:
-        entries = {(i, j): v for i, row in enumerate(x)
-                   for j, v in enumerate(row) if v}
-        return _dense(self.sigma_entries(entries), self.triple.n)
-
-
-def _dense(x: Entries, n: int) -> Matrix:
-    out = zeros(n, n)
-    for (i, j), v in x.items():
-        out[i][j] = v
-    return out
 
 
 def realize_pair(pair: SymmetricPair,
@@ -327,55 +302,49 @@ def realize_pair(pair: SymmetricPair,
     if pair.shape == "hermitian":
         m = fparts[0].n
         tw = triple_from_partition("sl", m, fparts[0])
-        e, h, f = zeros(n, n), zeros(n, n), zeros(n, n)
-        for big, x in ((e, tw.e), (h, tw.h), (f, tw.f)):  # x on W, -x^T on W*
-            _embed(big, x, 0, 0)
-            _embed(big, mat_scale(transpose(x), -1), m, m)
-        form = zeros(n, n)
+        # x on W, -x^T on W*
+        e, f = ({**x, **{(m + c, m + r): -v for (r, c), v in x.items()}}
+                for x in (tw.e, tw.f))
         eps = 1 if kind == "so" else -1
-        for i in range(m):
-            form[i][m + i] = 1
-            form[m + i][i] = eps
-        triple = SL2Triple(kind, n, e, h, f, form)
-        signs = [1] * m + [-1] * m
-        return RealizedPair(pair, triple, signs)
+        form = [(m + i, 1) for i in range(m)] + [(i, eps) for i in range(m)]
+        triple = SL2Triple(kind, n, e, tw.h + [-v for v in tw.h], f, form)
+        return RealizedPair(triple, [1] * m + [-1] * m)
     if pair.shape == "twisted":
         fkind = pair.g0.factors[0][0]
-        triple = triple_from_partition(fkind, n, fparts[0])
-        triple = SL2Triple("sl", n, triple.e, triple.h, triple.f, triple.form)
-        return RealizedPair(pair, triple, None)
+        tr = triple_from_partition(fkind, n, fparts[0])
+        return RealizedPair(SL2Triple("sl", n, tr.e, tr.h, tr.f, tr.form),
+                            None)
     # block-diagonal factor sum: (sl, gl+gl), (so, so+so), (sp, sp+sp)
-    e = zeros(n, n)
-    h = zeros(n, n)
-    f = zeros(n, n)
-    form = None if kind == "sl" else zeros(n, n)
+    e: Entries = {}
+    f: Entries = {}
+    h: list[int] = []
+    form = None if kind == "sl" else []
     pos = 0
     for (fkind, fn), lam in zip(pair.g0.factors, fparts):
         tb = triple_from_partition("sl" if fkind == "gl" else fkind, fn, lam)
-        _embed(e, tb.e, pos, pos)
-        _embed(h, tb.h, pos, pos)
-        _embed(f, tb.f, pos, pos)
+        for big, x in ((e, tb.e), (f, tb.f)):
+            big.update(((pos + r, pos + c), v) for (r, c), v in x.items())
+        h += tb.h
         if form is not None:
-            _embed(form, tb.form, pos, pos)
+            form += [(pos + c, b) for c, b in tb.form]
         pos += fn
     k = pair.g0.factors[0][1]
-    signs = [1] * k + [-1] * (n - k)
-    triple = SL2Triple(kind, n, e, h, f, form)
-    return RealizedPair(pair, triple, signs)
+    return RealizedPair(SL2Triple(kind, n, e, h, f, form),
+                        [1] * k + [-1] * (n - k))
 
 
 def _sigma_basis(rp: RealizedPair) -> dict[int, list[Entries]]:
     """Basis matrices of the ambient algebra by h-weight: E_ij (i != j) and
     E_ii - E_{i+1,i+1} on sl, B^{-1} A for the coordinates A on so/sp."""
     tr = rp.triple
-    kind, h = tr.kind, tr.h_diagonal
+    kind, h = tr.kind, tr.h
     sign = -1 if kind == "so" else 1
     out: dict[int, list[Entries]] = {}
     for w, coords in _weight_blocks(kind, h).items():
         if kind == "sl":
             out[w] = [{(i, j): 1} for i, j in coords if i != j]
             continue
-        perm = tr.form_perm  # B^{-1} E_ij = b_i E_{p(i),j}
+        perm = tr.form  # B^{-1} E_ij = b_i E_{p(i),j}
         mats = []
         for i, j in coords:
             x = {(perm[i][0], j): perm[i][1]}
@@ -442,10 +411,9 @@ def oracle_grid(pair: SymmetricPair,
     tr = rp.triple
     if not tr.check_relations():
         raise RuntimeError("triple relations failed")
-    if rp.sigma(tr.e) != tr.e:
-        raise RuntimeError("e is not sigma-fixed")
-    if rp.sigma(tr.h) != tr.h:
-        raise RuntimeError("h is not sigma-fixed")
+    for name, x in (("e", tr.e), ("h", _diagonal(tr.h))):
+        if rp.sigma_entries(x) != x:
+            raise RuntimeError(f"{name} is not sigma-fixed")
     # split each h-weight block by the eigenvalues of sigma
     d: dict[tuple[int, int], int] = {}
     for w, sig in _sigma_blocks(rp).items():

@@ -165,6 +165,8 @@ def suite_tables(max_rank: int = 8) -> VerificationReport:
         rep.add(f"{t} {rec.label} label", "Bala-Carter: rank red = rank g - "
                 "rank L, G(a_i) or G(b_i) has i zeros",
                 want, (red, None if red else len(rec.wdd.zeros)))
+        rep.add(f"{t} {rec.label} red", "dim red = d(0) - d(2) of the "
+                "diagram", rec.dim_red, rec.red.dim)
     for t in swept_types(max_rank):
         if t.family not in "ABCD":
             continue
@@ -580,9 +582,17 @@ _RANK_BOUNDED = {"tables", "divisible", "balanced", "regular", "upsilon",
 
 
 def run_suite(name: str, max_rank: int = 8) -> VerificationReport:
+    """The report of one suite.  A suite that raises reports one failed
+    case, so that the suites after it still run."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; available: "
                        f"{sorted(SUITES)}")
-    if name in _RANK_BOUNDED:
-        return SUITES[name](max_rank)
-    return SUITES[name]()
+    try:
+        if name in _RANK_BOUNDED:
+            return SUITES[name](max_rank)
+        return SUITES[name]()
+    except Exception as ex:
+        rep = VerificationReport(name)
+        rep.add(f"{name} raised", "the suite runs to its end",
+                "no exception", f"{type(ex).__name__}: {ex}")
+        return rep

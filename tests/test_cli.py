@@ -203,6 +203,27 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_a_suite_that_raises_is_one_failed_case(capsys, monkeypatch):
+    from nilorbits import verify as v
+
+    def broken(*args):
+        raise RuntimeError("triple relations failed")
+
+    monkeypatch.setitem(v.SUITES, "grids", broken)
+    code, out, err = run(capsys, "--json", "verify")
+    assert (code, err) == (1, "")
+    reports = json.loads(out)
+    assert [r["suite"] for r in reports] == sorted(v.SUITES)
+    assert [(r["suite"], r["failed"]) for r in reports if r["failed"]] == \
+        [("grids", 1)]
+    case, = next(r["cases"] for r in reports if r["suite"] == "grids")
+    assert (case["id"], case["computed"]) == \
+        ("grids raised", repr("RuntimeError: triple relations failed"))
+    assert all(r["total"] for r in reports)
+    with pytest.raises(KeyError, match="unknown suite"):
+        v.run_suite("nosuch")
+
+
 def test_verify_empty_suite_fails(capsys):
     # no pair of rank <= 1 is swept: regular has no cases at this bound
     code, out, _ = run(capsys, "verify", "--suite", "regular",

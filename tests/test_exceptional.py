@@ -9,10 +9,11 @@ from itertools import product
 
 import pytest
 
+from nilorbits import verify
 from nilorbits.exceptional import ORBITS, PAIR_ORBITS, exceptional_lookup
 from nilorbits.gradings import decompose
-from nilorbits.involutions import (EXCEPTIONAL_ROWS, catalog,
-                                   pair_by_descriptor)
+from nilorbits.involutions import (EXCEPTIONAL_ROWS, Reductive, catalog,
+                                   pair_by_descriptor, parse_factors)
 from nilorbits.orbits import WeightedDynkinDiagram
 from nilorbits.roots import SimpleType, build_root_system
 from nilorbits.sl2 import SL2Module
@@ -143,6 +144,21 @@ def test_a_label_against_the_bala_carter_rule_fails_its_case(
     rep = suite_tables()
     assert [c.case_id for c in rep.cases if not c.passed] \
         == [f"{key[0]} {label} label"]
+
+
+def test_a_reductive_type_of_the_wrong_dimension_fails_its_case(
+        monkeypatch):
+    # A1 has the rank of t1, so the label case passes; only the red case
+    # compares its dimension, 3, with d(0) - d(2) = 1
+    key = ("E7", "E6(a1)")
+    monkeypatch.setitem(ORBITS, key, replace(
+        ORBITS[key], red=Reductive(parse_factors("A1"))))
+    monkeypatch.setattr(verify, "_TABLE_EXCEPTIONAL", [
+        row[:4] + ("A1",) + row[5:] if row[:3] == ("E7", "A7", "E6(a1)")
+        else row for row in verify._TABLE_EXCEPTIONAL])
+    rep = suite_tables()
+    assert [c.case_id for c in rep.cases if not c.passed] \
+        == ["E7 E6(a1) red"]
 
 
 def test_one_orbit_row_per_exceptional_pair():

@@ -98,3 +98,19 @@ def test_computation_modules_import_neither_verify_nor_cli():
                 found += [f"{name}.py: {m}" for m in mods
                           if re.match(r"(nilorbits\.)?(verify|cli)\b", m)]
     assert found == []
+
+
+def test_the_oracle_builds_dense_matrices_only_in_dense():
+    # the oracle keeps each matrix in one sparse form; a dense matrix is
+    # built only for the product [e, f] and for solve_in_span, by _dense
+    path = _PACKAGE / "oracle.py"
+    tree = ast.parse(path.read_text(), str(path))
+
+    def zeros_calls(node):
+        return {n.lineno for n in ast.walk(node) if isinstance(n, ast.Call)
+                and "zeros" in (getattr(n.func, "id", None),
+                                getattr(n.func, "attr", None))}
+
+    dense, = (node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == "_dense")
+    assert zeros_calls(tree) == zeros_calls(dense) != set()
