@@ -25,8 +25,8 @@ for ts, g0 in [("E6", "C4"), ("E7", "A7"), ("E8", "D8")]:
     print(f"  M0 = {pd.m0}")
     print(f"  M1 = {pd.m1}")
     print("  " + mg.render().replace("\n", "\n  "))
-    rep = divisibility_report(pd)
-    print(f"  divisibility consequences all hold: {not rep.failures()}")
+    print("  divisibility consequences all hold: "
+          f"{not divisibility_report(pd)}")
     print()
 
 print("split pair of sl_2n with two odd Jordan blocks (2m+1, 2k+1):")

@@ -369,52 +369,35 @@ def _identify_derived(pd: PairDecomposition) -> UpsilonResult:
 # Divisibility reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DivisibilityReport:
-    """Consequences of d_0(0) = d_1(4), one flag per claim."""
-
-    grid_equalities: bool       # d0(0)=d0(2)=d1(2)=d1(4) and all 4k+2 ties
-    no_r2_in_odd_part: bool
-    g0_semisimple: bool
-    orbit_divisible: bool
-    e_almost_distinguished: bool
-    half_almost_distinguished: bool
-    half_partition: Partition | None
-
-    def failures(self) -> list[str]:
-        names = ["grid_equalities", "no_r2_in_odd_part", "g0_semisimple",
-                 "orbit_divisible", "e_almost_distinguished",
-                 "half_almost_distinguished"]
-        return [n for n in names if not getattr(self, n)]
-
-
-def divisibility_report(pd: PairDecomposition) -> DivisibilityReport:
+def divisibility_report(pd: PairDecomposition) -> list[str]:
+    """The names of the consequences of d_0(0) = d_1(4) that fail for pd:
+    the grid ties d0(0) = d0(2) = d1(2) = d1(4) and d0(4k+2) = d1(4k+2),
+    no R2 in M1, g0 semisimple, e divisible, and e and e/2 almost
+    distinguished."""
     mg = grading_grid(pd)
     if not check_04(mg):
         raise ValueError(f"d0(0)={mg.d(0, 0)} != d1(4)={mg.d(1, 4)}; "
                          "the divisibility criterion does not apply")
-    grid_eq = (mg.d(0, 0) == mg.d(0, 2) == mg.d(1, 2) == mg.d(1, 4)
-               and check_4k2(mg))
-    no_r2 = pd.m1.mult.get(2, 0) == 0
     orbit = pd.orbit
     if pd.pair.g.ambient is not None:
         divisible = is_divisible(orbit)
-        half = half_orbit(orbit) if divisible else None
-        half_ad = half.red.is_toral if half else False
-        half_part = half.partition if half else None
+        half_ad = divisible and half_orbit(orbit).red.is_toral
     else:
         divisible = bool(orbit.divisible)
         # the reductive centraliser of e/2 lives in degree 0 of the halved
         # grading and has dimension d(0) - d(4); a reductive algebra of
         # dimension <= 2 is a torus
         half_ad = mg.total(0) - mg.total(4) <= 2
-        half_part = None
-    return DivisibilityReport(
-        grid_equalities=grid_eq, no_r2_in_odd_part=no_r2,
-        g0_semisimple=pd.pair.g0.center_dim == 0, orbit_divisible=divisible,
-        e_almost_distinguished=orbit.red.is_toral,
-        half_almost_distinguished=half_ad,
-        half_partition=half_part)
+    holds = {
+        "grid_equalities": (mg.d(0, 0) == mg.d(0, 2) == mg.d(1, 2)
+                            == mg.d(1, 4) and check_4k2(mg)),
+        "no_r2_in_odd_part": pd.m1.mult.get(2, 0) == 0,
+        "g0_semisimple": pd.pair.g0.center_dim == 0,
+        "orbit_divisible": divisible,
+        "e_almost_distinguished": orbit.red.is_toral,
+        "half_almost_distinguished": half_ad,
+    }
+    return [name for name, ok in holds.items() if not ok]
 
 
 def d00_closed_form(ms: tuple[int, ...]) -> tuple[int, int]:

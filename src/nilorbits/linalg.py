@@ -40,20 +40,9 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: Matrix, c) -> Matrix:
-    return [[c * x for x in row] for row in a]
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(row) for row in zip(*a)]
-
-
 def commutator(a: Matrix, b: Matrix) -> Matrix:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+    return [[x - y for x, y in zip(ra, rb)]
+            for ra, rb in zip(mat_mul(a, b), mat_mul(b, a))]
 
 
 def _eliminate(rows: list[SparseRow], echelon: dict[int, SparseRow],

@@ -98,15 +98,15 @@ class SL2Triple:
         under ad e of the coordinates of weight w, one sparse row each over
         the coordinates of weight w + 2 (see _weight_blocks).
 
-        Each image is read from the rows and columns of e.  On sl,
-        [e, E_ij] = sum_r e_ri E_rj - sum_c e_jc E_ic.  On so/sp the image
-        of A = E_ij + s E_ji (s = -1 on so, +1 on sp; A = E_ii for i = j)
-        is -(e^T A + A e) = N + s N^T with N = -A e, whose rows i and j
-        are -e_j and -s e_i; an entry v of N at (r, c) adds v to the
+        Each image is read from the rows and columns of e.  On so/sp the
+        image of A = E_ij + s E_ji (s = -1 on so, +1 on sp; A = E_ii for
+        i = j) is -(e^T A + A e) = N + s N^T with N = -A e, whose rows i and
+        j are -e_j and -s e_i; an entry v of N at (r, c) adds v to the
         coordinate (r, c) and s v to the coordinate (c, r), whichever of
-        them exists (both, adding 2v, on the diagonal of sp).  e is a sum
-        of Jordan strings, so each image has a few entries, and e of
-        h-weight 2 puts them all in weight w + 2.
+        them exists (both, adding 2v, on the diagonal of sp).  On sl, s = 0
+        and A = E_ij: [e, E_ij] = N + e E_ij, where e E_ij is column i of e
+        moved to column j.  e is a sum of Jordan strings, so each image has
+        a few entries, and e of h-weight 2 puts them all in weight w + 2.
         """
         kind, n, h = self.kind, self.n, self.h
         blocks = _weight_blocks(kind, h)
@@ -116,47 +116,39 @@ class SL2Triple:
         e_cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for (r, c), v in self.e.items():
             e_rows[r].append((c, v))
-            e_cols[c].append((r * n, v))
-        ad: dict[int, list[SparseRow]] = {}
-        if kind == "sl":
-            # e has no diagonal entry, so the two sums never meet
-            index = {i * n + j: k for cs in blocks.values()
-                     for k, (i, j) in enumerate(cs)}
-            for w, cs in blocks.items():
-                rows = []
-                for i, j in cs:
-                    row = {index[rn + j]: v for rn, v in e_cols[i]}
-                    for c, v in e_rows[j]:
-                        row[index[i * n + c]] = -v
-                    rows.append(row)
-                ad[w] = rows
-            return n * n, ad
-        s = -1 if kind == "so" else 1
+            e_cols[c].append((r, v))
+        s = {"sl": 0, "so": -1, "sp": 1}[kind]
         # an entry v of N at (r, c) adds x * v to coordinate k, where
         # (k, x) = index[r * n + c]
         index: dict[int, tuple[int, int]] = {}
         for cs in blocks.values():
             for k, (i, j) in enumerate(cs):
                 if i == j:
-                    index[i * n + i] = (k, 2)
+                    index[i * n + i] = (k, 1 + s)
                 else:
                     index[i * n + j] = (k, 1)
-                    index[j * n + i] = (k, s)
+                    if s:
+                        index[j * n + i] = (k, s)
 
         def put(row: SparseRow, r: int, u: int, t: int):
             # t times row u of e as row r of N; e has no diagonal entry,
-            # so no two entries of N land on one coordinate
+            # so no two entries of N, nor of N and e E_ij, land on one
+            # coordinate
             for c, v in e_rows[u]:
                 hit = index.get(r * n + c)
                 if hit is not None:
                     row[hit[0]] = hit[1] * t * v
 
+        ad: dict[int, list[SparseRow]] = {}
         for w, cs in blocks.items():
             rows = []
             for i, j in cs:
                 row: SparseRow = {}
                 put(row, i, j, -1)
-                if i != j:
+                if not s:
+                    for r, v in e_cols[i]:
+                        row[index[r * n + j][0]] = v
+                elif i != j:
                     put(row, j, i, -s)
                 rows.append(row)
             ad[w] = rows

@@ -148,17 +148,22 @@ def test_a_label_against_the_bala_carter_rule_fails_its_case(
 
 def test_a_reductive_type_of_the_wrong_dimension_fails_its_case(
         monkeypatch):
-    # A1 has the rank of t1, so the label case passes; only the red case
-    # compares its dimension, 3, with d(0) - d(2) = 1
+    # A1 has the rank of t1, so the label case passes.  Planted in the
+    # record, only the red case compares its dimension, 3, with
+    # d(0) - d(2) = 1 of the diagram; planted in Table 1, only the case
+    # that compares it with the PI pair's own grid fails
     key = ("E7", "E6(a1)")
-    monkeypatch.setitem(ORBITS, key, replace(
-        ORBITS[key], red=Reductive(parse_factors("A1"))))
+    with monkeypatch.context() as mp:
+        mp.setitem(ORBITS, key, replace(
+            ORBITS[key], red=Reductive(parse_factors("A1"))))
+        rep = suite_tables()
+    assert [c.case_id for c in rep.cases if not c.passed] \
+        == ["E7 E6(a1) red"]
     monkeypatch.setattr(verify, "_TABLE_EXCEPTIONAL", [
         row[:4] + ("A1",) + row[5:] if row[:3] == ("E7", "A7", "E6(a1)")
         else row for row in verify._TABLE_EXCEPTIONAL])
     rep = suite_tables()
-    assert [c.case_id for c in rep.cases if not c.passed] \
-        == ["E7 E6(a1) red"]
+    assert [c.case_id for c in rep.cases if not c.passed] == ["E7 E6(a1)"]
 
 
 def test_one_orbit_row_per_exceptional_pair():

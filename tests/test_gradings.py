@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,8 +11,9 @@ from nilorbits.gradings import (check_02, check_04, check_4k2,
                                 dim_fixed_cross, divisibility_report,
                                 grading_grid, MixedGrading,
                                 PairDecomposition, upsilon)
-from nilorbits.involutions import catalog, pair_by_descriptor
-from nilorbits.orbits import Partition
+from nilorbits.involutions import (Reductive, catalog, pair_by_descriptor,
+                                   parse_factors)
+from nilorbits.orbits import Partition, half_orbit
 from nilorbits.roots import SimpleType, all_simple_types
 from nilorbits.sl2 import SL2Module
 from nilorbits.verify import E_GRIDS, swept_pairs
@@ -158,11 +159,10 @@ def test_upsilon_dim_consistency():
 
 def test_divisibility_report_passes():
     pd = decompose(pair("E6", "C4"))
-    assert divisibility_report(pd).failures() == []
+    assert divisibility_report(pd) == []
     pd = decompose_classical(pair("A5", "so6"), [P("(5,1)")])
-    rep = divisibility_report(pd)
-    assert rep.failures() == []
-    assert rep.half_partition.parts == (3, 2, 1)
+    assert divisibility_report(pd) == []
+    assert half_orbit(pd.orbit).partition.parts == (3, 2, 1)
 
 
 def test_half_almost_distinguished_read_from_the_grid(monkeypatch):
@@ -176,8 +176,40 @@ def test_half_almost_distinguished_read_from_the_grid(monkeypatch):
     crafted = MixedGrading(mg.row0, row1)
     assert check_04(crafted) and crafted.total(0) - crafted.total(4) == 3
     monkeypatch.setattr(gradings, "grading_grid", lambda _: crafted)
-    assert "half_almost_distinguished" in \
-        divisibility_report(pd).failures()
+    assert "half_almost_distinguished" in divisibility_report(pd)
+
+
+def _crafted(name, pd, mg):
+    """E6/C4's decomposition and grid, changed so that the named
+    consequence of d0(0) = d1(4) fails and the other five hold."""
+    if name == "grid_equalities":  # d0(2) raised from 4 to 5
+        return pd, MixedGrading(mg.row0[:2] + (5,) + mg.row0[3:], mg.row1)
+    if name == "no_r2_in_odd_part":  # R4 in M1 traded for R2 + 2 R0
+        m1 = pd.m1.subtract(SL2Module.parse("R4")) + \
+            SL2Module.parse("R2+2*R0")
+        return replace(pd, m1=m1), mg
+    if name == "g0_semisimple":  # gl6 has the dimension of sp8, and a centre
+        g0 = Reductive(parse_factors("gl6"))
+        return replace(pd, pair=replace(pd.pair, g0=g0)), mg
+    if name == "orbit_divisible":
+        return replace(pd, orbit=replace(pd.orbit, divisible=False)), mg
+    if name == "e_almost_distinguished":  # A1 is not a torus
+        red = Reductive(parse_factors("A1"))
+        return replace(pd, orbit=replace(pd.orbit, red=red)), mg
+    # half_almost_distinguished: d1(0) raised from 4 to 6 (see above)
+    return pd, MixedGrading(mg.row0, (6,) + mg.row1[1:])
+
+
+@pytest.mark.parametrize("name", [
+    "grid_equalities", "no_r2_in_odd_part", "g0_semisimple",
+    "orbit_divisible", "e_almost_distinguished",
+    "half_almost_distinguished"])
+def test_each_divisibility_consequence_can_fail(monkeypatch, name):
+    pd = decompose(pair("E6", "C4"))
+    crafted_pd, crafted = _crafted(name, pd, grading_grid(pd))
+    assert check_04(crafted)
+    monkeypatch.setattr(gradings, "grading_grid", lambda _: crafted)
+    assert divisibility_report(crafted_pd) == [name]
 
 
 def test_divisibility_report_requires_check04():

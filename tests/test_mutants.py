@@ -1,0 +1,200 @@
+"""Mutation adequacy of the verdicts.
+
+Each entry of MUTANTS plants one semantic defect by monkeypatch.  Its test
+empties the package's caches, runs the ten suites of `nilorbits verify` at
+their defaults and requires at least one failed case; a suite that raises
+counts, since it reports one failed case.  A defect that no case sees yet
+is an xfail(strict=True) entry whose reason names what should kill it, so
+the mark has to go when that lands.
+"""
+
+import __future__
+import inspect
+import sys
+import textwrap
+from dataclasses import replace
+
+import pytest
+
+from nilorbits import gradings, involutions, oracle, orbits, sl2
+from nilorbits.exceptional import ORBITS
+from nilorbits.orbits import ClassicalOrbit, Partition
+from nilorbits.roots import SimpleType
+from nilorbits.sl2 import SL2Module
+from nilorbits.verify import SUITES, run_suite
+
+
+def _package():
+    return [m for key, m in sorted(sys.modules.items())
+            if key == "nilorbits" or key.startswith("nilorbits.")]
+
+
+def _clear_caches():
+    """Empty every functools cache of the package: module functions and
+    the methods of its classes."""
+    for mod in _package():
+        for obj in list(vars(mod).values()):
+            for x in [obj, *vars(obj).values()] if isinstance(obj, type) \
+                    else [obj]:
+                if hasattr(x, "cache_clear"):
+                    x.cache_clear()
+
+
+def _rebind(mp, swaps):
+    """Bind swaps[f] wherever the package binds f, all at once."""
+    found = [(mod, key, swaps[val]) for mod in _package()
+             for key, val in list(vars(mod).items())
+             if callable(val) and val in swaps]
+    for mod, key, new in found:
+        mp.setattr(mod, key, new)
+
+
+def swap_sym2_alt2(mp):
+    _rebind(mp, {sl2.sym2: sl2.alt2, sl2.alt2: sl2.sym2})
+
+
+def negate_signed_counts(mp):
+    count = SL2Module.signed_count
+    mp.setattr(SL2Module, "signed_count", lambda self: -count(self))
+
+
+def swap_d_fork_labels(mp):
+    def wdd(o, orig=orbits.wdd_from_partition):
+        w = orig(o)
+        if w.type.family != "D":
+            return w
+        *head, a, b = w.labels
+        return replace(w, labels=(*head, b, a))
+
+    _rebind(mp, {orbits.wdd_from_partition: wdd})
+
+
+def move_e7_d6a1_black_node(mp):
+    # black nodes 1, 4, 6 -> 0, 4, 6: still isolated, same signature
+    mp.setattr(involutions, "EXCEPTIONAL_ROWS", [
+        row[:3] + ((0, 4, 6),) + row[4:] if row[:2] == ("E7", "D6+A1")
+        else row for row in involutions.EXCEPTIONAL_ROWS])
+
+
+def shift_b_black_nodes(mp):
+    def catalog(t, orig=involutions.catalog):
+        if t.family != "B":
+            return orig(t)
+        return tuple(replace(p, satake=replace(
+            p.satake, black=frozenset(i - 1 for i in p.satake.black)))
+            for p in orig(t))
+
+    _rebind(mp, {involutions.catalog: catalog})
+
+
+def gl_centre_zero(mp):
+    def numbers(f, orig=involutions._factor_numbers):
+        dim, rank, centre = orig(f)
+        return dim, rank, 0 if f[0] == "gl" else centre
+
+    _rebind(mp, {involutions._factor_numbers: numbers})
+
+
+def grid_rows_without_accumulation(mp):
+    # d(i) = mult(i) instead of mult(i) + d(i+2)
+    _rebind(mp, {gradings._grid_row: lambda module, size: tuple(
+        module.mult.get(i, 0) for i in range(size))})
+
+
+def halve_even_parts_too(mp):
+    # p -> (p+1)//2, p//2 for every part, without the all-odd condition
+    def half(o):
+        parts = [v for p in o.partition.parts
+                 for v in ((p + 1) // 2, p // 2) if v]
+        try:
+            return ClassicalOrbit(o.kind, o.n, Partition.of(*parts))
+        except ValueError:
+            return None
+
+    _rebind(mp, {orbits._half: half})
+
+
+def e8_b4_on_the_e7a1_record(mp):
+    key = ("E8", "E8(a3)")
+    mp.setitem(ORBITS, key, replace(ORBITS[key], label="E8(b4)"))
+
+
+def meets_without_arrows(mp):
+    def meets(wdd, s):
+        if wdd.type != s.type:
+            raise ValueError(f"type mismatch: {wdd.type} vs {s.type}")
+        return s.black <= wdd.zeros
+
+    _rebind(mp, {involutions.orbit_meets_g1: meets})
+
+
+def isolated_always(mp):
+    mp.setattr(SimpleType, "isolated", lambda self, nodes: True)
+
+
+def sigma_hits_unsigned(mp):
+    # a source edit: the sign of a hit is read inside the function
+    fn, old = oracle._sigma_blocks, "rows.append({hit[0]: hit[1]})"
+    src = textwrap.dedent(inspect.getsource(fn))
+    if src.count(old) != 1:  # not an AssertionError, which xfail expects
+        raise LookupError(f"{old!r} is not one line of {fn.__name__}")
+    code = compile(src.replace(old, "rows.append({hit[0]: 1})"),
+                   inspect.getsourcefile(fn), "exec",
+                   flags=__future__.annotations.compiler_flag,
+                   dont_inherit=True)
+    ns = {}
+    exec(code, vars(oracle), ns)
+    _rebind(mp, {fn: ns[fn.__name__]})
+
+
+def _survives(reason):
+    return pytest.mark.xfail(strict=True, reason=reason,
+                             raises=AssertionError)
+
+
+MUTANTS = [
+    swap_sym2_alt2,
+    negate_signed_counts,
+    swap_d_fork_labels,
+    move_e7_d6a1_black_node,
+    shift_b_black_nodes,
+    gl_centre_zero,
+    grid_rows_without_accumulation,
+    halve_even_parts_too,
+    e8_b4_on_the_e7a1_record,
+    pytest.param(meets_without_arrows, marks=_survives(
+        "the meets cases re-check the filter identify_ibn applied; an "
+        "independent meets path (ROADMAP items 1-2) should kill it")),
+    pytest.param(isolated_always, marks=_survives(
+        "no case expects isolated zeros or IBN to fail; a case with a "
+        "non-regular e of g0 (ROADMAP item 9) should kill it")),
+    pytest.param(sigma_hits_unsigned, marks=_survives(
+        "the oracle suite realises pairs in unpermuted bases only, where "
+        "the sign of a hit changes no grid; only tests/test_oracle.py's "
+        "test_oracle_grids_do_not_depend_on_the_order_of_the_basis kills "
+        "it")),
+]
+
+
+def _failed_cases(plant):
+    """The failed cases of the ten suites on fresh caches, with plant
+    applied; the caches are emptied again after it is undone."""
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            _clear_caches()
+            plant(mp)
+            _clear_caches()
+            return [f"{name}: {c.case_id}" for name in SUITES
+                    for c in run_suite(name).cases if not c.passed]
+    finally:
+        _clear_caches()
+
+
+def test_no_case_fails_without_a_mutant():
+    assert _failed_cases(lambda mp: None) == []
+
+
+@pytest.mark.parametrize("plant", MUTANTS,
+                         ids=lambda m: getattr(m, "__name__", None))
+def test_the_suites_fail_a_case_under_each_mutant(plant):
+    assert _failed_cases(plant)

@@ -8,8 +8,7 @@ import pytest
 from nilorbits import oracle, verify
 from nilorbits.gradings import decompose, decompose_classical, grading_grid
 from nilorbits.involutions import catalog, pair_by_descriptor
-from nilorbits.linalg import (commutator, mat_mul, mat_scale, mat_sub, rank,
-                              transpose, zeros)
+from nilorbits.linalg import commutator, mat_mul, rank, zeros
 from nilorbits.orbits import (ClassicalOrbit, Partition, all_partitions,
                               centralizer_dims, half_orbit, is_divisible,
                               valid_partitions)
@@ -53,6 +52,18 @@ def dense(t):
         {(i, c): b for i, (c, b) in enumerate(t.form)}, t.n)
     return (oracle._dense(t.e, t.n), oracle._dense(oracle._diagonal(t.h), t.n),
             oracle._dense(t.f, t.n), form)
+
+
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_scale(a, c):
+    return [[c * x for x in row] for row in a]
+
+
+def transpose(a):
+    return [list(row) for row in zip(*a)]
 
 
 def dense_relations(t):

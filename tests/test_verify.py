@@ -2,7 +2,7 @@ import pytest
 
 from nilorbits import verify
 from nilorbits.gradings import MixedGrading, decompose, grading_grid
-from nilorbits.verify import _RANK_BOUNDED, run_suite, swept_pairs
+from nilorbits.verify import SUITES, _RANK_BOUNDED, run_suite, swept_pairs
 
 
 @pytest.mark.parametrize("bound", [2, 5, 8, 12])
@@ -33,3 +33,22 @@ def test_regular_suite_sees_a_diagram_layer_above_the_grid(monkeypatch):
         assert all(mg.total(i) == wdd.layer_dim(i)
                    for i in range(len(mg.row0))), p
         assert mg.profile != wdd.profile, p
+
+
+_CASE_COUNTS = {
+    # cases per suite at --max-rank 8 and 16; a change to the number of a
+    # suite's cases edits this pin and says so
+    8: {"balanced": 75, "collapsing": 60, "divisible": 36, "grids": 56,
+        "kappa": 48, "meets": 744, "oracle": 317, "regular": 702,
+        "tables": 119, "upsilon": 161},
+    16: {"balanced": 155, "collapsing": 124, "divisible": 36, "grids": 56,
+         "kappa": 48, "meets": 2556, "oracle": 317, "regular": 2378,
+         "tables": 215, "upsilon": 317},
+}
+
+
+@pytest.mark.parametrize("bound", sorted(_CASE_COUNTS))
+def test_case_counts_are_pinned(bound):
+    counts = {name: len(run_suite(name, max_rank=bound).cases)
+              for name in SUITES}
+    assert counts == _CASE_COUNTS[bound]
