@@ -248,7 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print passing cases too")
     p.add_argument("--max-rank", type=int, default=8,
                    help="rank bound of the sweeps; grids, kappa (rank <= "
-                   "12) and oracle (n <= 9) keep fixed bounds")
+                   "12) and oracle (n <= 9) keep fixed bounds, and tables "
+                   "(exceptional rows and labels), divisible (sl_n with "
+                   "n <= 9, E grids), upsilon (Table 3 to rank 8, B6) and "
+                   "balanced (one regular-sweep case) keep fixed-bound "
+                   "cases at any bound")
     p.set_defaults(func=cmd_verify)
     return ap
 

@@ -33,11 +33,7 @@ def factor_regular_parts(f: Factor) -> tuple[int, ...]:
     defining (matrix) representation."""
     kind, n = f
     if kind == "so":
-        if n == 0:
-            return ()
-        if n % 2 == 1:
-            return (n,)
-        return (n - 1, 1) if n > 2 else (1, 1)
+        return (n,) if n % 2 else (n - 1, 1)
     if kind in ("gl", "sl", "sp"):
         return (n,)
     raise ValueError(f"no matrix model for factor {f}")

@@ -364,30 +364,19 @@ def so_pair_ibn(n: int, m: int) -> bool:
     return abs(n - m) <= 4
 
 
-@lru_cache(maxsize=None)
-def _ibn_by_signature(t: SimpleType) -> dict[int, tuple[SymmetricPair, ...]]:
-    """The IBN classes of t by signature, each in catalog order."""
-    index: dict[int, tuple[SymmetricPair, ...]] = {}
-    for p in catalog(t):
-        if p.satake.ibn:
-            sig = ibn_signature(p.satake)
-            index[sig] = index.get(sig, ()) + (p,)
-    return index
-
-
 def identify_ibn(t: SimpleType, diff: int, inner: bool, wdd) -> SymmetricPair:
     """The IBN class of the given component with dim g1 - dim g0 = diff
     meeting the orbit with weighted diagram wdd (which separates the D4
     triality twins)."""
-    hits = [p for p in _ibn_by_signature(t).get(diff, ())
-            if p.inner == inner and orbit_meets_g1(wdd, p.satake)]
+    ibn = [(ibn_signature(p.satake), p) for p in catalog(t)
+           if p.satake.ibn and p.inner == inner]
+    hits = [p for sig, p in ibn
+            if sig == diff and orbit_meets_g1(wdd, p.satake)]
     if len(hits) == 1:
         return hits[0]
     meets = f" meeting the orbit {wdd.labels}"
     if not hits:
-        sigs = sorted((ibn_signature(p.satake), p.descriptor)
-                      for p in catalog(t) if p.satake.ibn
-                      and p.inner == inner)
+        sigs = sorted((sig, p.descriptor) for sig, p in ibn)
         raise KeyError(f"no IBN class of {t} with signature {diff}{meets}; "
                        f"available: {sigs}")
     raise KeyError(f"signature {diff} is ambiguous for {t}{meets}: "

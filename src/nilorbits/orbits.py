@@ -201,17 +201,13 @@ def render_labelled_diagram(t: SimpleType, labels) -> str:
         return f"[{labels[i]}]" if i in short else f"({labels[i]})"
 
     if t.family in ("A", "B", "C", "F", "G"):
-        bonds = {"A": "-", "B": "=>", "C": "<=", "G": "≡>"}
+        # a chain: a_ij a_ji lines per bond, the arrow toward the short node
+        a = t.cartan_matrix()
         line = node(0)
         for i in range(1, t.rank):
-            if t.family in ("B", "C") and i == t.rank - 1:
-                sep = bonds[t.family]
-            elif t.family == "F" and i == 2:
-                sep = "<="      # double bond pointing at the short pair
-            elif t.family == "G":
-                sep = bonds["G"]
-            else:
-                sep = "-"
+            sep = "-=≡"[a[i - 1][i] * a[i][i - 1] - 1]
+            if sep != "-":
+                sep = sep + ">" if i in short else "<" + sep
             line += sep + node(i)
         return line
     if t.family == "D":

@@ -65,6 +65,8 @@ class VerificationReport:
                 mark = "ok " if c.passed else "FAIL"
                 lines.append(f"  {mark} {c.case_id}: {c.claim} "
                              f"expected={c.expected} computed={c.computed}")
+        if not self.cases:
+            lines.append("  FAIL no cases: a suite with no cases fails")
         lines.append(f"suite {self.suite}: {len(self.cases) - self.num_failed}"
                      f"/{len(self.cases)} passed")
         return "\n".join(lines)

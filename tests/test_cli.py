@@ -229,7 +229,9 @@ def test_verify_empty_suite_fails(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "regular",
                        "--max-rank", "1")
     assert code == 1
-    assert "0/0 passed" in out
+    assert out.splitlines() == [
+        "  FAIL no cases: a suite with no cases fails",
+        "suite regular: 0/0 passed"]
     code, out, _ = run(capsys, "--json", "verify", "--suite", "regular",
                        "--max-rank", "1")
     assert code == 1

@@ -147,6 +147,17 @@ def sigma_hits_unsigned(mp):
     _rebind(mp, {fn: ns[fn.__name__]})
 
 
+def drop_c_sp_pair(mp):
+    # (C_r, sp_{2r-2}+sp_2) for r >= 4 leaves the catalog
+    def catalog(t, orig=involutions.catalog):
+        if t.family != "C" or t.rank < 4:
+            return orig(t)
+        drop = (("sp", 2 * t.rank - 2), ("sp", 2))
+        return tuple(p for p in orig(t) if p.g0.factors != drop)
+
+    _rebind(mp, {involutions.catalog: catalog})
+
+
 def _survives(reason):
     return pytest.mark.xfail(strict=True, reason=reason,
                              raises=AssertionError)
@@ -173,6 +184,10 @@ MUTANTS = [
         "the sign of a hit changes no grid; only tests/test_oracle.py's "
         "test_oracle_grids_do_not_depend_on_the_order_of_the_basis kills "
         "it")),
+    pytest.param(drop_c_sp_pair, marks=_survives(
+        "every sweep iterates over the catalog, so a missing class is "
+        "invisible; the Kac completeness case (ROADMAP item 15) should "
+        "kill it")),
 ]
 
 

@@ -322,3 +322,12 @@ def test_wdd_render_marks_short_nodes():
     o = ClassicalOrbit("so", 9, Partition.parse("(5,3,1)"))
     out = wdd_from_partition(o).render()
     assert out == "(2)-(0)-(2)=>[0]"
+
+
+def test_render_arrows_point_at_short_nodes():
+    for t in all_simple_types(12):
+        out = WeightedDynkinDiagram(t, (0,) * t.rank).render()
+        arrows = out.count(">") + out.count("<")
+        assert arrows == (1 if t.family in "BCFG" else 0), (str(t), out)
+        assert out.count(">") == out.count(">["), (str(t), out)
+        assert out.count("<") == out.count("]<"), (str(t), out)
