@@ -250,9 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rank bound of the sweeps; grids, kappa (rank <= "
                    "12) and oracle (n <= 9) keep fixed bounds, and tables "
                    "(exceptional rows and labels), divisible (sl_n with "
-                   "n <= 9, E grids), upsilon (Table 3 to rank 8, B6) and "
-                   "balanced (one regular-sweep case) keep fixed-bound "
-                   "cases at any bound")
+                   "n <= 9, E grids) and upsilon (Table 3 to rank 8, B6) "
+                   "keep fixed-bound cases at any bound")
     p.set_defaults(func=cmd_verify)
     return ap
 

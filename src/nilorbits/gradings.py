@@ -19,7 +19,7 @@ from . import exceptional as exc
 from .involutions import (Factor, SymmetricPair, factor_str, identify_ibn,
                           pi_involution)
 from .orbits import (ClassicalOrbit, Partition, WeightedDynkinDiagram,
-                     is_divisible, half_orbit)
+                     is_divisible, half_orbit, paired)
 from .roots import SimpleType
 from .sl2 import R, SL2Module, alt2, sym2, tensor
 
@@ -32,11 +32,9 @@ def factor_regular_parts(f: Factor) -> tuple[int, ...]:
     """Jordan type of a regular nilpotent element of the factor, inside its
     defining (matrix) representation."""
     kind, n = f
-    if kind == "so":
-        return (n,) if n % 2 else (n - 1, 1)
-    if kind in ("gl", "sl", "sp"):
-        return (n,)
-    raise ValueError(f"no matrix model for factor {f}")
+    if kind not in ("gl", "sl", "so", "sp"):
+        raise ValueError(f"no matrix model for factor {f}")
+    return (n - 1, 1) if paired(kind, n) else (n,)
 
 
 def module_of_parts(parts) -> SL2Module:
@@ -129,23 +127,19 @@ def decompose_classical(pair: SymmetricPair,
     kind, n = amb
     fparts = factor_jordan_types(pair, factor_partitions)
     v = [module_of_parts(lam.parts) for lam in fparts]
+    square = {"so": alt2, "sp": sym2}  # so(V) = Alt2 V, sp(V) = Sym2 V
     if pair.shape == "hermitian":
         w = v[0]
-        m0 = tensor(w, w)
-        m1 = 2 * (sym2(w) if kind == "sp" else alt2(w))
-    elif pair.shape == "twisted":
-        if pair.g0.factors[0][0] == "so":
-            m0, m1 = alt2(v[0]), sym2(v[0]).subtract(R(0))
-        else:
-            m0, m1 = sym2(v[0]), alt2(v[0]).subtract(R(0))
+        m0, m1 = tensor(w, w), 2 * square[kind](w)
+    elif pair.shape == "twisted":  # sl(V) = Alt2 V + Sym2 V - R0
+        k0 = pair.g0.factors[0][0]
+        k1 = "sp" if k0 == "so" else "so"
+        m0, m1 = square[k0](v[0]), square[k1](v[0]).subtract(R(0))
     elif kind == "sl":
         m0 = (tensor(v[0], v[0]) + tensor(v[1], v[1])).subtract(R(0))
         m1 = 2 * tensor(v[0], v[1])
-    elif kind == "so":
-        m0 = alt2(v[0]) + alt2(v[1])
-        m1 = tensor(v[0], v[1])
     else:
-        m0 = sym2(v[0]) + sym2(v[1])
+        m0 = square[kind](v[0]) + square[kind](v[1])
         m1 = tensor(v[0], v[1])
     # e in the matrix ambient: the factor parts, twice over for gl_r acting
     # on W + W* in so_2r/sp_2r

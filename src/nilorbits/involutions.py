@@ -250,9 +250,9 @@ EXCEPTIONAL_ROWS = [
 def catalog(t: SimpleType) -> tuple[SymmetricPair, ...]:
     """All involution classes of the simple algebra of type t."""
     fam, r = t.family, t.rank
+    n = t.ambient[1] if t.ambient else 0  # matrix size of a classical type
     pairs: list[SymmetricPair] = []
     if fam == "A":
-        n = r + 1
         pairs.append(_pair(t, [("so", n)], inner=(n == 2)))
         if n % 2 == 0 and n >= 4:
             black = tuple(range(0, n - 1, 2))
@@ -270,12 +270,10 @@ def catalog(t: SimpleType) -> tuple[SymmetricPair, ...]:
             pairs.append(_pair(t, [("gl", k), ("gl", l)], True, black,
                                arrows, traced=True))
     elif fam == "B":
-        n = 2 * r + 1
         for s in range(1, r + 1):
             black = tuple(range(s, r))
             pairs.append(_pair(t, [("so", n - s), ("so", s)], True, black))
     elif fam == "C":
-        n = 2 * r
         pairs.append(_pair(t, [("gl", r)], True))
         for k in range(1, r // 2 + 1):
             p = k  # smaller half
@@ -284,7 +282,6 @@ def catalog(t: SimpleType) -> tuple[SymmetricPair, ...]:
             pairs.append(_pair(t, [("sp", 2 * (r - k)), ("sp", 2 * k)],
                                True, black))
     elif fam == "D":
-        n = 2 * r
         for s in range(1, r + 1):
             if s == r:
                 black, arrows = (), ()

@@ -4,7 +4,7 @@ Orbits are encoded by partitions (Jordan block sizes): any partition of n
 for sl_n, even parts with even multiplicity for so_n, odd parts with even
 multiplicity for sp_2n.  Weighted Dynkin diagrams follow the Springer--
 Steinberg recipe: sort the union of the weight strings {p-1, p-3, ..., 1-p}
-and take successive differences (with the type-specific tail rule).
+and take successive differences, with one last label per family.
 """
 
 from __future__ import annotations
@@ -83,6 +83,13 @@ def all_partitions(n: int) -> list[Partition]:
     return [Partition(p) for p in out]
 
 
+def paired(kind: str, p: int) -> bool:
+    """Whether a Jordan block of size p needs a partner of the same size:
+    the invariant form is symmetric on an odd string and alternating on an
+    even one, so even blocks pair in so and odd blocks in sp."""
+    return (kind, p % 2) in (("so", 0), ("sp", 1))
+
+
 @dataclass(frozen=True)
 class ClassicalOrbit:
     """A nilpotent orbit in sl_n ('sl'), so_n ('so') or sp_n ('sp', n even)."""
@@ -97,19 +104,14 @@ class ClassicalOrbit:
         if self.partition.n != self.n:
             raise ValueError(f"partition {self.partition} is not a partition "
                              f"of {self.n}")
-        mults = self.partition.multiplicities
-        if self.kind == "so":
-            bad = [p for p, m in mults.items() if p % 2 == 0 and m % 2 == 1]
-            if bad:
-                raise ValueError(f"even parts {bad} must have even "
-                                 f"multiplicity in so_{self.n}")
-        if self.kind == "sp":
-            if self.n % 2 == 1:
-                raise ValueError("sp requires even matrix size")
-            bad = [p for p, m in mults.items() if p % 2 == 1 and m % 2 == 1]
-            if bad:
-                raise ValueError(f"odd parts {bad} must have even "
-                                 f"multiplicity in sp_{self.n}")
+        if self.kind == "sp" and self.n % 2 == 1:
+            raise ValueError("sp requires even matrix size")
+        bad = [p for p, m in self.partition.multiplicities.items()
+               if m % 2 == 1 and paired(self.kind, p)]
+        if bad:
+            parity = "even" if self.kind == "so" else "odd"
+            raise ValueError(f"{parity} parts {bad} must have even "
+                             f"multiplicity in {self.kind}_{self.n}")
 
     def __str__(self):
         return f"{self.kind}{self.n} {self.partition}"
@@ -223,25 +225,14 @@ def render_labelled_diagram(t: SimpleType, labels) -> str:
 
 
 def wdd_from_partition(o: ClassicalOrbit) -> WeightedDynkinDiagram:
+    """Differences of the rank-many largest h-weights on V along the
+    chain, then one last label per family."""
     t = SimpleType.of_ambient(o.kind, o.n)
-    h = o.partition.weight_string()
-    m = t.rank
-    if o.kind == "sl":
-        labels = [h[i] - h[i + 1] for i in range(m)]
-    elif o.kind == "sp":
-        head = h[:m]
-        labels = [head[i] - head[i + 1] for i in range(m - 1)]
-        labels.append(2 * head[m - 1])
-    elif o.n % 2 == 1:  # B_m
-        head = h[:m]
-        labels = [head[i] - head[i + 1] for i in range(m - 1)]
-        labels.append(head[m - 1])
-    else:               # D_m
-        head = h[:m]
-        labels = [head[i] - head[i + 1] for i in range(m - 2)]
-        labels.append(head[m - 2] - head[m - 1])
-        labels.append(head[m - 2] + head[m - 1])
-    return WeightedDynkinDiagram(t, tuple(labels))
+    h, m = o.partition.weight_string(), t.rank
+    last = {"A": h[m - 1] - h[m], "B": h[m - 1], "C": 2 * h[m - 1],
+            "D": h[m - 2] + h[m - 1]}[t.family]
+    chain = tuple(h[i] - h[i + 1] for i in range(m - 1))
+    return WeightedDynkinDiagram(t, chain + (last,))
 
 
 # ---------------------------------------------------------------------------
@@ -250,18 +241,13 @@ def wdd_from_partition(o: ClassicalOrbit) -> WeightedDynkinDiagram:
 
 def reductive_type(o: ClassicalOrbit) -> Reductive:
     """Reductive part of the centraliser: a gl_m per part of multiplicity m
-    (traced) in sl; in so (sp) so_m for odd (even) parts of multiplicity m
-    and sp_m for the others."""
+    (traced) in sl; in so and sp, sp_m for paired parts of multiplicity m
+    and so_m for the free ones."""
     mults = sorted(o.partition.multiplicities.items())
     if o.kind == "sl":
         return Reductive(tuple(("gl", m) for _, m in mults), traced=True)
-    factors = []
-    for p, m in mults:
-        if o.kind == "so":
-            factors.append(("so", m) if p % 2 == 1 else ("sp", m))
-        else:
-            factors.append(("sp", m) if p % 2 == 1 else ("so", m))
-    return Reductive(tuple(factors))
+    return Reductive(tuple(("sp" if paired(o.kind, p) else "so", m)
+                           for p, m in mults))
 
 
 def centralizer_dims(o: ClassicalOrbit) -> tuple[int, int, int]:

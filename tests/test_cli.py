@@ -238,6 +238,21 @@ def test_verify_empty_suite_fails(capsys):
     assert json.loads(out)[0]["total"] == 0
 
 
+def test_verify_regular_sweep_needs_a_swept_pair(capsys):
+    # balanced and divisible report the regular sweep only when some pair
+    # is swept: at --max-rank 1 balanced has no case left, and divisible
+    # keeps only its fixed-bound cases
+    code, out, _ = run(capsys, "verify", "--suite", "balanced",
+                       "--max-rank", "1")
+    assert code == 1
+    assert "FAIL no cases" in out
+    code, out, _ = run(capsys, "--json", "verify", "--suite", "divisible",
+                       "--max-rank", "1")
+    report, = json.loads(out)
+    assert code == 0 and report["total"] == 35
+    assert "regular sweep" not in [c["id"] for c in report["cases"]]
+
+
 def test_verify_max_rank_below_1_exits_2(capsys):
     for argv in (["--max-rank", "0"],
                  ["--max-rank", "-3", "--suite", "kappa"]):

@@ -13,7 +13,8 @@ from nilorbits.gradings import (check_02, check_04, check_4k2,
                                 PairDecomposition, upsilon)
 from nilorbits.involutions import (Reductive, catalog, pair_by_descriptor,
                                    parse_factors)
-from nilorbits.orbits import Partition, half_orbit
+from nilorbits.orbits import (ClassicalOrbit, Partition, centralizer_dims,
+                              half_orbit)
 from nilorbits.roots import SimpleType, all_simple_types
 from nilorbits.sl2 import SL2Module
 from nilorbits.verify import E_GRIDS, swept_pairs
@@ -34,6 +35,19 @@ def test_regular_partitions():
                           ("B4", "so5+so4", (5, 3, 1)),
                           ("B4", "so8", (7, 1, 1))]:
         assert decompose(pair(ts, g0)).orbit.partition.parts == parts
+
+
+def test_factor_regular_parts_are_regular_in_the_factor():
+    # a regular element has a centraliser of dimension rank; gl_n is taken
+    # in sl_n, where its centre is gone and the rank drops by one
+    sizes = {"so": range(1, 17), "sp": range(2, 17, 2), "gl": range(1, 17)}
+    for kind, ns in sizes.items():
+        for n in ns:
+            f = (kind, n)
+            o = ClassicalOrbit("sl" if kind == "gl" else kind, n,
+                               Partition(gradings.factor_regular_parts(f)))
+            rank = Reductive((f,)).rank - (kind == "gl")
+            assert centralizer_dims(o)[0] == rank, f
 
 
 def test_decompose_hermitian_so():

@@ -84,19 +84,33 @@ def test_every_definition_in_the_package_is_referenced():
     assert found == []
 
 
+def _package_imports(path: pathlib.Path):
+    """(module, name) for each name a module imports from the package,
+    with the module relative to the package and name None for a whole
+    module; imports from outside the package are left out."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from ((a.name.removeprefix("nilorbits").lstrip("."), None)
+                        for a in node.names
+                        if re.match(r"nilorbits\b", a.name))
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level == 0:
+                if not re.match(r"nilorbits\b", base):
+                    continue
+                base = base.removeprefix("nilorbits").lstrip(".")
+            yield from ((base, a.name) if base else (a.name, None)
+                        for a in node.names)
+
+
 def test_computation_modules_import_neither_verify_nor_cli():
     # verify holds the expected sides: a computation that read them would
     # make a check compare a value with itself
-    found = []
-    for name in ("roots", "sl2", "orbits", "involutions", "exceptional",
-                 "gradings", "linalg", "oracle"):
-        path = _PACKAGE / f"{name}.py"
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                base = getattr(node, "module", None) or ""
-                mods = [f"{base}.{a.name}".strip(".") for a in node.names]
-                found += [f"{name}.py: {m}" for m in mods
-                          if re.match(r"(nilorbits\.)?(verify|cli)\b", m)]
+    found = [f"{name}.py: {mod}" for name in (
+        "roots", "sl2", "orbits", "involutions", "exceptional", "gradings",
+        "linalg", "oracle")
+        for mod, _ in _package_imports(_PACKAGE / f"{name}.py")
+        if mod in ("verify", "cli")]
     assert found == []
 
 
@@ -114,3 +128,18 @@ def test_the_oracle_builds_dense_matrices_only_in_dense():
     dense, = (node for node in tree.body if isinstance(node, ast.FunctionDef)
               and node.name == "_dense")
     assert zeros_calls(tree) == zeros_calls(dense) != set()
+
+
+def test_the_oracle_imports_only_the_records_it_realises():
+    # the oracle is the independent path: it reads the orbit and pair
+    # records, the grid it fills, the factor Jordan types it realises and
+    # exact linear algebra, but no partition formula, sl2-module calculus,
+    # root data or exceptional record
+    allowed = {("orbits", "ClassicalOrbit"), ("orbits", "Partition"),
+               ("gradings", "MixedGrading"),
+               ("gradings", "factor_jordan_types"),
+               ("involutions", "SymmetricPair")}
+    imports = list(_package_imports(_PACKAGE / "oracle.py"))
+    assert ("linalg", "rank") in imports
+    assert [(mod, name) for mod, name in imports
+            if mod != "linalg" and (mod, name) not in allowed] == []
