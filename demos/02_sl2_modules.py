@@ -4,10 +4,14 @@ sl2-module multiset arithmetic
 
 Modules are multisets of highest weights; R(k) has dimension k+1.  The
 demo multiplies characters the Clebsch-Gordan way, takes symmetric and
-exterior squares, and reads off eigenvalue dimensions and the signed
-counts used to identify derived involutions.
+exterior squares, prints the grid of eigenvalue dimensions of the E6/C4
+modules, and reads off the signed counts used to identify derived
+involutions.
 """
 
+from nilorbits.gradings import decompose, grading_grid
+from nilorbits.involutions import pair_by_descriptor
+from nilorbits.roots import SimpleType
 from nilorbits.sl2 import R, SL2Module, alt2, sym2, tensor
 from nilorbits.verify import E_MODULES
 
@@ -23,10 +27,10 @@ print(f"  Alt2(R4 + R2) = {alt2(SL2Module.parse('R4+R2'))}")
 print()
 m0, m1 = map(SL2Module.parse, E_MODULES[("E6", "C4")])  # the C4 pair of E6
 print(f"M0 = {m0} (dim {m0.dim}),  M1 = {m1} (dim {m1.dim})")
-print("eigenvalue dimensions d(i) of M0:",
-      [m0.eigen_dim(i) for i in range(0, 16, 2)])
-print("eigenvalue dimensions d(i) of M1:",
-      [m1.eigen_dim(i) for i in range(0, 18, 2)])
+print("eigenvalue dimensions: dj(i) = dim of the i-eigenspace of Mj "
+      "([ ] marks d0(0) = d1(4))")
+pd = decompose(pair_by_descriptor(SimpleType("E", 6), "C4"))
+print(grading_grid(pd).render())
 
 print()
 s0, s1 = m0.signed_count(), m1.signed_count()

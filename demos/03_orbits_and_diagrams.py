@@ -11,7 +11,8 @@ half-orbits of divisible orbits.
 from nilorbits.exceptional import exceptional_lookup
 from nilorbits.orbits import (ClassicalOrbit, Partition, centralizer_dims,
                               half_orbit, is_divisible, is_even,
-                              reductive_type, wdd_from_partition)
+                              kostant_dims, reductive_type,
+                              wdd_from_partition)
 from nilorbits.roots import SimpleType
 
 for kind, n, lam in [("so", 9, "(5,3,1)"), ("sp", 8, "(4,4)"),
@@ -37,6 +38,7 @@ for kind, lam in [("so", "(7,7)"), ("so", "(5,3,1)"), ("sp", "(3,3)"),
 
 print()
 rec = exceptional_lookup(SimpleType("E", 8), "E8(a4)")
-print(f"static record E8(a4): dim z = {rec.dim_centralizer}, "
-      f"red = {rec.red}, nil = {rec.dim_nil}")
+total, red, nil = kostant_dims(rec.wdd.profile)
+print(f"static record E8(a4): dim z = {total}, red = {rec.red} "
+      f"(dim {red}), nil = {nil}")
 print(rec.wdd.render())

@@ -20,7 +20,7 @@ from .gradings import (check_02, check_04, check_4k2, decompose,
                        decompose_classical, grading_grid, upsilon)
 from .involutions import catalog, pair_by_descriptor
 from .orbits import (ClassicalOrbit, Partition, centralizer_dims,
-                     is_divisible, is_even, half_orbit)
+                     is_divisible, is_even, half_orbit, kostant_dims)
 from .oracle import (centralizer_dim, ker_ad_squared, oracle_sizes,
                      triple_from_partition)
 from .roots import SimpleType
@@ -89,12 +89,12 @@ def cmd_wdd(args) -> int:
     t = parse_ambient(args.type)
     if t.ambient is None:
         rec = exceptional_lookup(t, args.partition)
+        total, _, nil = kostant_dims(rec.wdd.profile)
         text = (f"{t} orbit {rec.label}\n{rec.wdd.render()}\n"
-                f"dim g^e = {rec.dim_centralizer}, red = {rec.red}, "
-                f"nil = {rec.dim_nil}")
+                f"dim g^e = {total}, red = {rec.red}, nil = {nil}")
         _emit(args, {"orbit": rec.label, "wdd": rec.wdd.to_json(),
-                     "dim_centralizer": rec.dim_centralizer,
-                     "red": str(rec.red), "dim_nil": rec.dim_nil}, text)
+                     "dim_centralizer": total,
+                     "red": str(rec.red), "dim_nil": nil}, text)
         return 0
     orbit = ClassicalOrbit(*t.ambient, Partition.parse(args.partition))
     wdd = orbit.wdd

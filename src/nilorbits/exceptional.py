@@ -8,11 +8,10 @@ standard tables of Dynkin--Bala--Carter data, e.g. Collingwood--McGovern,
 of Lawther--Testerman.  Node numbering follows `nilorbits.roots` (Bourbaki
 for E types; short roots first for F4/G2).
 
-The centraliser dimensions are not recorded; they are read from the layers
-d(i) of the diagram:
-    dim g^e = d(0) + d(1),  dim red = d(0) - d(2),  nil = dim - red
-(tests check that each pair's diagram is the only even label vector whose
-layers match the published M0+M1).
+The centraliser dimensions are not recorded: `orbits.kostant_dims` reads
+them from the layers of the diagram, `rec.wdd.profile` (tests check that
+each pair's diagram is the only even label vector whose layers match the
+published M0+M1).
 
 Extension format: one row per symmetric pair in
 `involutions.EXCEPTIONAL_ROWS`, whose last four fields are the Bala-Carter
@@ -41,19 +40,6 @@ class ExceptionalOrbit:
     wdd: WeightedDynkinDiagram
     red: Reductive
     divisible: bool | None = None  # None: not recorded
-
-    # centraliser dimensions read off the layers d(i) of the diagram
-    @property
-    def dim_centralizer(self) -> int:
-        return self.wdd.layer_dim(0) + self.wdd.layer_dim(1)
-
-    @property
-    def dim_red(self) -> int:
-        return self.wdd.layer_dim(0) - self.wdd.layer_dim(2)
-
-    @property
-    def dim_nil(self) -> int:
-        return self.dim_centralizer - self.dim_red
 
 
 def _orbit(type_str, label, labels, red, divisible):

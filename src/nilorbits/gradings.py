@@ -19,7 +19,7 @@ from . import exceptional as exc
 from .involutions import (Factor, SymmetricPair, factor_str, identify_ibn,
                           pi_involution)
 from .orbits import (ClassicalOrbit, Partition, WeightedDynkinDiagram,
-                     is_divisible, half_orbit, paired)
+                     is_divisible, half_orbit, kostant_dims, paired)
 from .roots import SimpleType
 from .sl2 import R, SL2Module, alt2, sym2, tensor
 
@@ -219,19 +219,6 @@ class MixedGrading:
     def dim_g0(self) -> int:
         return self.row0[0] + 2 * sum(self.row0[1:])
 
-    # centraliser dimensions of e read off the grid
-    @property
-    def dim_centralizer(self) -> int:
-        return self.total(0) + self.total(1)
-
-    @property
-    def dim_red(self) -> int:
-        return self.total(0) - self.total(2)
-
-    @property
-    def dim_nil(self) -> int:
-        return self.total(1) + self.total(2)
-
     def render(self) -> str:
         hi = self.m1 if self.m1 > self.m0 else self.m0
         step = 1 if any(self.d(j, i) for j in (0, 1)
@@ -280,13 +267,6 @@ def check_04(mg: MixedGrading) -> bool:
 def check_4k2(mg: MixedGrading) -> bool:
     return all(mg.d(0, i) == mg.d(1, i)
                for i in range(2, max(mg.m0, mg.m1) + 1, 4))
-
-
-def dim_fixed_check(mg: MixedGrading) -> int:
-    """dim of the fixed algebra of the derived inner involution: the
-    multiples-of-4 layers of both rows."""
-    top = max(mg.m0, mg.m1)
-    return mg.total(0) + 2 * sum(mg.total(i) for i in range(4, top + 1, 4))
 
 
 def dim_fixed_cross(mg: MixedGrading) -> int:
@@ -408,5 +388,6 @@ def d00_closed_form(ms: tuple[int, ...]) -> tuple[int, int]:
 def collapsing_defect(t: SimpleType) -> tuple[int, bool]:
     """(d, finite-to-one?) where d = dim g^{e} - 2 rank for e regular in
     the fixed algebra of the principal inner involution."""
-    d = grading_grid(decompose(pi_involution(t))).dim_centralizer - 2 * t.rank
+    mg = grading_grid(decompose(pi_involution(t)))
+    d = kostant_dims(mg.profile)[0] - 2 * t.rank
     return d, d == 0

@@ -265,6 +265,14 @@ def centralizer_dims(o: ClassicalOrbit) -> tuple[int, int, int]:
     return total, red, total - red
 
 
+def kostant_dims(profile: tuple[int, ...]) -> tuple[int, int, int]:
+    """(dim g^e, dim red, dim nil) read off the layers d(i) = dim g(i) of
+    the grading by the characteristic of e (Kostant):
+        dim g^e = d(0) + d(1),  dim red = d(0) - d(2),  nil = d(1) + d(2)."""
+    d0, d1, d2 = (profile + (0, 0, 0))[:3]
+    return d0 + d1, d0 - d2, d1 + d2
+
+
 # ---------------------------------------------------------------------------
 # Divisibility and half-orbits
 # ---------------------------------------------------------------------------

@@ -124,12 +124,6 @@ class SL2Module:
 
     # -- representation-theoretic operations ---------------------------------
 
-    def eigen_dim(self, i: int) -> int:
-        """Dimension of the i-eigenspace of the Cartan generator."""
-        i = abs(i)
-        return sum(m for w, m in self.mult.items()
-                   if w >= i and (w - i) % 2 == 0)
-
     def signed_count(self) -> int:
         """Sum of (-1)^k over the summands R(2k): the trace of i^h, which
         acts by (-1)^j on the h-eigenspace of eigenvalue 2j."""

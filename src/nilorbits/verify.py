@@ -21,7 +21,7 @@ from .involutions import (Reductive, catalog, maximal_rank, orbit_meets_g1,
                           pair_by_descriptor, parse_factors, pi_involution)
 from .orbits import (Partition, all_partitions,
                      centralizer_dims, half_orbit, is_divisible,
-                     valid_partitions)
+                     kostant_dims, valid_partitions)
 from .oracle import (centralizer_dim, ker_ad_squared, oracle_grid,
                      oracle_sizes, triple_from_partition)
 from .roots import (SimpleType, all_simple_types, build_root_system,
@@ -148,7 +148,7 @@ def suite_tables(max_rank: int = 8) -> VerificationReport:
         mg = grading_grid(pd)
         rep.add(f"{ts} {label}", "(dim, dim red, nil) of the PI grid",
                 (dim, Reductive(parse_factors(red)).dim, nil),
-                (mg.dim_centralizer, mg.dim_red, mg.dim_nil))
+                kostant_dims(mg.profile))
         rep.add(f"{ts} {label} wdd", "diagram labels: <alpha_i, 2 rho_0^vee> "
                 "vs the pair's orbit record", d_sigma, pd.orbit.wdd.labels)
     for rec in exc.ORBITS.values():
@@ -164,7 +164,7 @@ def suite_tables(max_rank: int = 8) -> VerificationReport:
                 "rank L, G(a_i) or G(b_i) has i zeros",
                 want, (red, None if red else len(rec.wdd.zeros)))
         rep.add(f"{t} {rec.label} red", "dim red = d(0) - d(2) of the "
-                "diagram", rec.dim_red, rec.red.dim)
+                "diagram", kostant_dims(rec.wdd.profile)[1], rec.red.dim)
     for t in swept_types(max_rank):
         if t.family not in "ABCD":
             continue
@@ -346,7 +346,7 @@ def suite_regular(max_rank: int = 8) -> VerificationReport:
                 pair.g.rank + 2 * k, mg.total(0))
         rep.add(f"{cid} g^h layers", "grid matches diagram layer dims",
                 True, mg.profile == wdd.profile)
-        nil = mg.dim_nil
+        nil = kostant_dims(mg.profile)[2]
         bound = 2 * pair.g0.rank
         rep.add(f"{cid} nil bound", "dim nil <= 2 rk(g0)", True, nil <= bound)
         if nil == bound:
@@ -367,9 +367,9 @@ def suite_regular(max_rank: int = 8) -> VerificationReport:
 # Suite: kappa
 # ---------------------------------------------------------------------------
 
-def suite_kappa(max_rank: int = 12) -> VerificationReport:
+def suite_kappa() -> VerificationReport:
     rep = VerificationReport("kappa")
-    for t in all_simple_types(max_rank):
+    for t in all_simple_types(12):
         rs = build_root_system(t)
         rep.add(str(t), "root-height count equals the node formula",
                 kappa_direct(t), kappa_root_count(rs))

@@ -14,10 +14,11 @@ from nilorbits.exceptional import ORBITS, PAIR_ORBITS, exceptional_lookup
 from nilorbits.gradings import decompose
 from nilorbits.involutions import (EXCEPTIONAL_ROWS, Reductive, catalog,
                                    pair_by_descriptor, parse_factors)
-from nilorbits.orbits import WeightedDynkinDiagram
+from nilorbits.orbits import WeightedDynkinDiagram, kostant_dims
 from nilorbits.roots import SimpleType, build_root_system
 from nilorbits.sl2 import SL2Module
 from nilorbits.verify import E_MODULES, suite_tables
+from charutil import character
 from rootdata import EXPONENTS
 
 # the twelve exceptional pairs in catalog order
@@ -47,8 +48,8 @@ def layer_profile(t: SimpleType, labels) -> dict[int, int]:
 
 
 def module_profile(m: SL2Module) -> dict[int, int]:
-    return {i: m.eigen_dim(i) for i in range(0, m.max_weight + 1, 2)
-            if m.eigen_dim(i)}
+    ch = character(m)
+    return {i: ch[i] for i in range(0, m.max_weight + 1, 2) if ch.get(i)}
 
 
 @pytest.mark.parametrize("key", sorted(E_MODULES))
@@ -76,9 +77,10 @@ def test_orbit_records_consistent(key):
     assert all(v in (0, 2) for v in wdd.labels)
     prof = layer_profile(rec.type, wdd.labels)
     # even orbit: dim g^e = dim g^h, red = d(0) - d(2)
-    assert rec.dim_centralizer == prof[0]
-    assert rec.dim_red == prof[0] - prof.get(2, 0)
-    assert rec.dim_nil == rec.dim_centralizer - rec.dim_red
+    dim, red, nil = kostant_dims(wdd.profile)
+    assert dim == prof[0]
+    assert red == prof[0] - prof.get(2, 0)
+    assert nil == dim - red
     assert wdd.has_only_isolated_zeros()
 
 
@@ -108,14 +110,14 @@ def test_reductive_types_render_back_to_the_published_strings():
     for ts, _, _, _, _, label, _, red, _ in EXCEPTIONAL_ROWS:
         rec = ORBITS[(ts, label)]
         assert str(rec.red) == red, (ts, label)
-        assert rec.red.dim == rec.dim_red, (ts, label)
+        assert rec.red.dim == kostant_dims(rec.wdd.profile)[1], (ts, label)
         assert rec.red.is_toral == (red == "0" or red.startswith("t"))
 
 
 def test_lookup_errors_list_known_labels():
     t = SimpleType("E", 6)
     rec = exceptional_lookup(t, "E6(a3)")
-    assert rec.dim_centralizer == 12 and str(rec.red) == "0"
+    assert kostant_dims(rec.wdd.profile)[0] == 12 and str(rec.red) == "0"
     with pytest.raises(KeyError) as err:
         exceptional_lookup(t, "E6(b17)")
     assert "E6(a1)" in str(err.value)

@@ -7,7 +7,7 @@ from nilorbits import gradings
 from nilorbits.gradings import (check_02, check_04, check_4k2,
                                 collapsing_defect, d00_closed_form,
                                 decompose, decompose_classical,
-                                decompose_exceptional, dim_fixed_check,
+                                decompose_exceptional,
                                 dim_fixed_cross, divisibility_report,
                                 grading_grid, MixedGrading,
                                 PairDecomposition, upsilon)
@@ -18,6 +18,8 @@ from nilorbits.orbits import (ClassicalOrbit, Partition, centralizer_dims,
 from nilorbits.roots import SimpleType, all_simple_types
 from nilorbits.sl2 import SL2Module
 from nilorbits.verify import E_GRIDS, swept_pairs
+
+from charutil import character
 
 
 def P(text):
@@ -167,7 +169,11 @@ def test_upsilon_dim_consistency():
                 continue
             mg = grading_grid(pd)
             u = upsilon(pd)
-            assert u.sigma_check.dim_g0 == dim_fixed_check(mg)
+            # the fixed algebra of the derived inner involution: the
+            # multiples-of-4 layers of both rows
+            top = max(mg.m0, mg.m1)
+            assert u.sigma_check.dim_g0 == mg.total(0) + 2 * sum(
+                mg.total(i) for i in range(4, top + 1, 4))
             assert u.sigma_sigma_check.dim_g0 == dim_fixed_cross(mg)
 
 
@@ -274,10 +280,12 @@ def test_cached_decompose_matches_fresh():
 
 
 def _reference_rows(m0: SL2Module, m1: SL2Module):
-    """The grid rows one weight at a time, as eigenspace dimensions."""
+    """The grid rows one weight at a time, as eigenspace dimensions read
+    from the characters."""
     size = max(m0.max_weight, m1.max_weight) + 1
-    return (tuple(m0.eigen_dim(i) for i in range(size)),
-            tuple(m1.eigen_dim(i) for i in range(size)))
+    ch0, ch1 = character(m0), character(m1)
+    return (tuple(ch0.get(i, 0) for i in range(size)),
+            tuple(ch1.get(i, 0) for i in range(size)))
 
 
 def test_grid_rows_match_eigenspace_dims_on_swept_pairs():

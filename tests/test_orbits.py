@@ -8,8 +8,8 @@ from nilorbits.exceptional import ORBITS
 from nilorbits.orbits import (ClassicalOrbit, Partition,
                               WeightedDynkinDiagram, all_partitions,
                               centralizer_dims, half_orbit, is_divisible,
-                              is_even, reductive_type, valid_partitions,
-                              wdd_from_partition)
+                              is_even, kostant_dims, reductive_type,
+                              valid_partitions, wdd_from_partition)
 from nilorbits.roots import all_simple_types, build_root_system
 
 partitions = st.lists(st.integers(1, 9), min_size=1, max_size=6).map(
@@ -121,14 +121,17 @@ def test_layer_dims_classical():
                         ("so", [5, 7, 8, 9, 10, 11, 12])]:
         for n in sizes:
             for o in valid_partitions(kind, n):
-                check_layer_dims(wdd_from_partition(o),
-                                 centralizer_dims(o)[0])
+                wdd = wdd_from_partition(o)
+                check_layer_dims(wdd, centralizer_dims(o)[0])
+                # Kostant's reading of the layers against the partition
+                # formulas, reductive part and nilradical included
+                assert kostant_dims(wdd.profile) == centralizer_dims(o), o
 
 
 @pytest.mark.parametrize("key", sorted(ORBITS))
 def test_layer_dims_exceptional(key):
     rec = ORBITS[key]
-    check_layer_dims(rec.wdd, rec.dim_centralizer)
+    check_layer_dims(rec.wdd, kostant_dims(rec.wdd.profile)[0])
 
 
 @pytest.mark.parametrize("kind,n,lam,expect", [

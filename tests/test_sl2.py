@@ -3,11 +3,12 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from nilorbits.gradings import _grid_row
 from nilorbits.sl2 import (NegativeMultiplicityError, R, SL2Module, alt2,
                            sym2, tensor)
 from nilorbits.verify import E_MODULES
 
-from charutil import (alt2_by_character, sym2_by_character,
+from charutil import (alt2_by_character, character, sym2_by_character,
                       tensor_by_character)
 
 modules = st.dictionaries(st.integers(0, 9), st.integers(1, 3),
@@ -75,21 +76,23 @@ def test_dimension_homomorphisms(a, b):
 
 
 def test_eigen_dim():
-    assert R(4).eigen_dim(0) == 1
-    assert R(4).eigen_dim(3) == 0
-    assert R(4).eigen_dim(-4) == 1
-    m = E6_C4[0]
-    assert m.eigen_dim(0) == 4
-    assert m.eigen_dim(16) == 0
+    # a grid row holds the eigenspace dimensions d(0), d(1), ...
+    assert _grid_row(R(4), 5) == (1, 0, 1, 0, 1)
+    row = _grid_row(E6_C4[0], 17)
+    assert (row[0], row[16]) == (4, 0)
 
 
 @given(modules)
 def test_eigen_dim_symmetry_and_monotonicity(m):
+    # the grid row of any module against its character, which is
+    # symmetric in i; the row falls by steps of 2 and sums to dim m
     top = m.max_weight
-    for i in range(top + 2):
-        assert m.eigen_dim(i) == m.eigen_dim(-i)
-        assert m.eigen_dim(i) >= m.eigen_dim(i + 2)
-    assert sum(m.eigen_dim(i) for i in range(-top - 1, top + 2)) == m.dim
+    row, ch = _grid_row(m, top + 3), character(m)
+    for i in range(top + 1):
+        assert row[i] == ch.get(i, 0) == ch.get(-i, 0)
+        assert row[i] >= row[i + 2]
+    assert row[top + 1:] == (0, 0)
+    assert row[0] + 2 * sum(row[1:]) == m.dim
 
 
 def test_signed_counts():
